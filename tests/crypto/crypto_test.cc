@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "src/common/rng.h"
 #include "src/crypto/cbc.h"
 #include "src/crypto/handshake.h"
 #include "src/crypto/key.h"
@@ -15,6 +18,32 @@ Key TestKey(uint8_t fill) {
   Key k;
   for (size_t i = 0; i < k.bytes.size(); ++i) k.bytes[i] = static_cast<uint8_t>(fill + i);
   return k;
+}
+
+std::string Hex(const Bytes& b) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string s;
+  for (uint8_t c : b) {
+    s += kDigits[c >> 4];
+    s += kDigits[c & 15];
+  }
+  return s;
+}
+
+uint64_t Fnv64(const Bytes& b) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (uint8_t c : b) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// Deterministic plaintext for the known-answer vectors.
+Bytes Pattern(size_t n) {
+  Bytes p(n);
+  for (size_t i = 0; i < n; ++i) p[i] = static_cast<uint8_t>(i * 131 + 17);
+  return p;
 }
 
 // --- XTEA ---------------------------------------------------------------------
@@ -60,6 +89,13 @@ TEST(XteaTest, AvalancheSingleBitFlip) {
   EXPECT_LT(diff, 48);
 }
 
+TEST(XteaTest, KnownAnswer) {
+  uint32_t block[2] = {0x01234567u, 0x89abcdefu};
+  XteaEncryptBlock(TestKey(0x00), block);
+  EXPECT_EQ(block[0], 0xe604a238u);
+  EXPECT_EQ(block[1], 0xbac0c175u);
+}
+
 // --- Key derivation ------------------------------------------------------------
 
 TEST(KeyDerivationTest, DeterministicAndSaltSensitive) {
@@ -83,6 +119,13 @@ TEST(KeyDerivationTest, SubKeysDifferByNonce) {
   EXPECT_EQ(DeriveSubKey(base, 1), DeriveSubKey(base, 1));
   EXPECT_NE(DeriveSubKey(base, 1), DeriveSubKey(base, 2));
   EXPECT_NE(DeriveSubKey(base, 1), base);
+}
+
+TEST(KeyDerivationTest, KnownAnswers) {
+  EXPECT_EQ(DeriveKeyFromPassword("rosebud", "andrew.cmu.edu").ToHex(),
+            "8b93e8d1be64f9ad36444dd274bc3608");
+  EXPECT_EQ(DeriveSubKey(TestKey(0x5c), 0x0123456789abcdefull).ToHex(),
+            "e0d6bd79f255887953e7443091f08ec0");
 }
 
 TEST(KeyTest, ToHexFormats) {
@@ -152,6 +195,155 @@ TEST(SealTest, TruncationDetected) {
 TEST(SealTest, GarbageRejected) {
   EXPECT_FALSE(Open(TestKey(0x01), Bytes{1, 2, 3}).ok());
   EXPECT_FALSE(Open(TestKey(0x01), Bytes(40, 0x5a)).ok());
+}
+
+// Known-answer vectors: the exact bytes on the wire. The sizes cover every
+// remainder of an 8-block step and every padding edge (the 16-byte trailer
+// plus 0..7 bytes of padding), so any change to IV derivation, chaining,
+// padding or trailer layout fails here.
+struct SealVector {
+  size_t size;
+  const char* hex;  // Seal(TestKey(0x5c), Pattern(size), 1000 + size)
+};
+
+constexpr SealVector kSealVectors[] = {
+    {0,
+     "eb81432956a86441c5a021cb9ab81bca459fbbfe3098fea6"},
+    {1,
+     "eab4b2cafc44f85ddf23f1bd7dbcfb6b47d17afbbc63ff33f95e038f145f55ea"},
+    {7,
+     "fb20c405f0aafa78ec673a1e964256bf7951bc4f82dacc5c95f5489cc817447f"},
+    {8,
+     "b42cd7e9bb7bc32dcdf9f7e2a20d46c65518fcd05082466996e7d6eebbb5546c"},
+    {9,
+     "fec8be075d53d0e25ed81ae0702dacdbad6ea83c99bb07326a035f3578dcbb01"
+     "804478657e75f524"},
+    {15,
+     "ad4e9ee7cd7774ba5452c5d87fc92daa2e9e5fddab72634479944a12f3d5cb2e"
+     "b6918d2863b934a3"},
+    {16,
+     "fdc00e421e152e51e9c801dd171f863ac4e32273d88ac34fa9fc7821f78ce4fb"
+     "67c31f16c96c9514"},
+    {17,
+     "4bf3c57b326bb21f8fe7c82abcaa8bdee602042ad08278c86a7a2e5f036be502"
+     "0a7a3f8524452d48ec0f7fb77d30f5bb"},
+    {55,
+     "73c57db3e7ceb457c640669f3139bacfcf8c687fa77a8b6bf834c3e3511348e3"
+     "d1568cd2888e2e5ec47a1760a5351e24e0c9fdd85bd9e3655d766a6a1f472e50"
+     "7dba39699d876207763b99de2d6a79b7"},
+    {56,
+     "06c8dce6847c63bf0d97bff7c997f53044f0751db81ac0e24e6ddaba8fae9428"
+     "ff091456396399c5df110b117525fbd416d48a3d04f646e886e921ccb9736330"
+     "c046d1c7d93333d3705001d3d6329771"},
+    {57,
+     "d91489c5d1709988faeea0800fe9f140e45a8ff342f0290139ef3f71e909ed56"
+     "cc026c1bacd3dbe3ba76c97fd6d5f68094289c92a9ebdb7003c20917cc4eef24"
+     "81622f52bde8031f86852dca583d7b92208134bfe09c7d54"},
+    {63,
+     "9a97a7f6d83bebef20e1fbd12a8b5f8285452cd9085b48a08e35cc9530f9eeca"
+     "8cc41e762148606555167c787425897c0e4348519ca11460b935286a62e01ff1"
+     "ac26dad7526d17170eabca9661364a97bd333113dfc87d32"},
+    {64,
+     "a28821471676aaa13af1590f17a2c32a10d2d088523d1cc03dba491c597826e0"
+     "59658b835dd4079bbdbf690d67deb3dd74260f93fa0ed5a841fb675fe616a7af"
+     "209289b4ea5527e4d61f4479e9cd7682181021d336813cf3"},
+    {65,
+     "80f94cf2941a48f5bc84a9448fab2df8ae2b71fb838e6eac69746eecf4b20a9f"
+     "c5b83e1c8e693780ff497d7e719beebd6ef4ab2a8451ce4db5101ff796041aae"
+     "f44faf1543a3b8dd19f72d3ebaeb0be3a0f64736c4e77cec1a7c03ec18bc70d7"},
+    {120,
+     "42891787b643105fc2304c525b7be5a5062fd3ecceff27e05b481f4555aeec30"
+     "9872932c0e5127eac2204c3c15786a8b95e3f0f5769589cbd59ae53bde876fc5"
+     "7fc2b773f72405b4cb46fa686fe63bec631c3577a9a59becbf48aafe68f6f3b8"
+     "6707dea69f2da87d373fb2f6e601b3744353881675039a9993f6a4272ae1768a"
+     "a3bb52ea212e0aaff2bad90b2ba91dee"},
+    {127,
+     "49432c3724a08f4076f1669d9b59e7cc5f4fea36ce932074bd68e1f202ff014c"
+     "fc255889cefcffeaaf53f29208f1a020f898809bec792702994c207e177b5f25"
+     "fc7fb4b6bf7f0e2c506b11be91b0d500fc33aa799e40bfa13e4920707e1d5bf8"
+     "ffc51441175761a51cf2eb58e2b216c2a70ab9306f36833099824913978e3ae9"
+     "ccb6df747ad06f74c586a0072ae2a3ce0a7637df5338466a"},
+    {128,
+     "115d7eedc5816b984593c6f527eb8ce62ff7d1e540350f0f608b9b5bdb943bb6"
+     "424b2ddb82c5c87b4f746e303223cb95e6a9e162e1f5095cd4ed9d951d88159c"
+     "636c6b3aea4886bd4c17b43409aa502c525eedcd64b4ac7ea1d8e0b4e2d3cc05"
+     "97220120a259803c0192cc605e1aadac67b4afd0af84b0f7f529023a0069ce19"
+     "c4b371c990c29161f7fe125c9fe5615b2c91338ab408986d"},
+    {129,
+     "856f35f99b7c131e724dd696aa414e1199c7d2544f3b75dc755ea6a7393f9a14"
+     "6d8780302930909591ca2ec293576a93d924f58b49dac5251f3ccaee8e7922eb"
+     "7b7fc7c19ef5c2ac1b089af78fe62d351d13d9f0b3499f9114545f1e31e9972d"
+     "20cee7da84b0fe837885a5954d7796fa3027d9d5a5ad50847a36c44efe4525d2"
+     "0569d0ef0e7a84831c6bef81d905ecd68b4e30cb2f278827bc79fe2d8bcca6a0"},
+};
+
+TEST(SealKnownAnswer, CiphertextIsPinned) {
+  const Key key = TestKey(0x5c);
+  for (const SealVector& v : kSealVectors) {
+    const Bytes plain = Pattern(v.size);
+    const Bytes sealed = Seal(key, plain, 1000 + v.size);
+    EXPECT_EQ(Hex(sealed), v.hex) << "size " << v.size;
+    auto opened = Open(key, sealed);
+    ASSERT_TRUE(opened.ok()) << "size " << v.size;
+    EXPECT_EQ(*opened, plain) << "size " << v.size;
+  }
+}
+
+TEST(SealKnownAnswer, LargeMessageDigestIsPinned) {
+  const Bytes sealed = Seal(TestKey(0x5c), Pattern(65536), 65536);
+  ASSERT_EQ(sealed.size(), 65560u);
+  EXPECT_EQ(Fnv64(sealed), 0x58924d37908d0b38ull);
+}
+
+// --- Hostile input to Open ----------------------------------------------------------
+// Open is the first decoder every reply passes through, so it must reject
+// any ciphertext it did not produce: no crash, no ok with a wrong length.
+
+class SealBitFlip : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(SealBitFlip, EverySingleBitFlipIsTamper) {
+  const Key key = TestKey(0x6d);
+  const Bytes sealed = Seal(key, Pattern(GetParam()), 77);
+  for (size_t bit = 0; bit < 8 * sealed.size(); ++bit) {
+    Bytes tampered = sealed;
+    tampered[bit / 8] = static_cast<uint8_t>(tampered[bit / 8] ^ (1u << (bit % 8)));
+    EXPECT_EQ(Open(key, tampered).status(), Status::kTamperDetected) << "bit " << bit;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, SealBitFlip, ::testing::Values(0, 9, 65));
+
+TEST(SealHostileTest, EveryTruncationIsAnError) {
+  const Key key = TestKey(0x6e);
+  const Bytes sealed = Seal(key, Pattern(65), 78);
+  for (size_t len = 0; len < sealed.size(); ++len) {
+    const Bytes cut(sealed.begin(), sealed.begin() + static_cast<ptrdiff_t>(len));
+    EXPECT_FALSE(Open(key, cut).ok()) << "length " << len;
+  }
+}
+
+TEST(SealHostileTest, PartialBlockLengthsAreInvalid) {
+  const Key key = TestKey(0x6f);
+  for (size_t len = 0; len <= 200; ++len) {
+    if (len >= 3 * kBlockSize && len % kBlockSize == 0) continue;
+    EXPECT_EQ(Open(key, Bytes(len, 0xa5)).status(), Status::kInvalidArgument)
+        << "length " << len;
+  }
+}
+
+TEST(SealHostileTest, RandomBuffersNeverOpenWithWrongLength) {
+  const Key key = TestKey(0x70);
+  Rng rng(20261017);
+  for (int i = 0; i < 10000; ++i) {
+    Bytes buf(rng.Below(201));
+    for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.NextU64());
+    auto opened = Open(key, buf);
+    if (!opened.ok()) continue;
+    // Astronomically unlikely, but if a random buffer ever verifies, its
+    // length must still match the envelope it came in.
+    const size_t padded = (opened->size() + 16 + kBlockSize - 1) / kBlockSize * kBlockSize;
+    EXPECT_EQ(buf.size(), kBlockSize + padded) << "buffer " << i;
+  }
 }
 
 // --- Handshake ----------------------------------------------------------------------
