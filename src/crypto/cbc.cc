@@ -8,54 +8,89 @@ namespace itc::crypto {
 
 namespace {
 
-uint64_t Fnv1a(const uint8_t* data, size_t n) {
-  uint64_t h = 0xcbf29ce484222325ull;
+constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+constexpr uint64_t kFnvPrime = 0x100000001b3ull;
+
+// Bytes of the trailer: 8-byte length, then 8-byte checksum.
+constexpr size_t kTrailer = 16;
+
+// Blocks Open decrypts per step, one per vector lane.
+constexpr size_t kLanes = 8;
+using Lanes = uint32_t __attribute__((vector_size(kLanes * sizeof(uint32_t))));
+
+uint64_t Fnv1a(uint64_t h, const uint8_t* data, size_t n) {
   for (size_t i = 0; i < n; ++i) {
     h ^= data[i];
-    h *= 0x100000001b3ull;
+    h *= kFnvPrime;
   }
   return h;
 }
 
-void PutU64(uint64_t v, uint8_t* p) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
+// Padded body length: plaintext plus trailer, rounded up to whole blocks.
+size_t PaddedLength(uint64_t plaintext_len) {
+  return (plaintext_len + kTrailer + kBlockSize - 1) / kBlockSize * kBlockSize;
 }
 
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
+// One CBC encryption step: XORs the block (w0, w1) into the chaining value
+// (c0, c1), encrypts it there, and stores the ciphertext at `out`.
+void SealBlock(const XteaSchedule& s, uint32_t w0, uint32_t w1, uint32_t& c0, uint32_t& c1,
+               uint8_t* out) {
+  c0 ^= w0;
+  c1 ^= w1;
+  XteaEncryptRounds(s, c0, c1);
+  StoreLe32(c0, out);
+  StoreLe32(c1, out + 4);
+}
+
+// Decrypts the ciphertext block at `in` and XORs in the chaining value (the
+// ciphertext block before it), returning the plaintext words.
+void OpenBlock(const XteaSchedule& s, const uint8_t* in, uint32_t& w0, uint32_t& w1) {
+  w0 = LoadLe32(in);
+  w1 = LoadLe32(in + 4);
+  XteaDecryptRounds(s, w0, w1);
+  w0 ^= LoadLe32(in - kBlockSize);
+  w1 ^= LoadLe32(in - kBlockSize + 4);
 }
 
 }  // namespace
 
 Bytes Seal(const Key& key, const Bytes& plaintext, uint64_t iv_seed) {
-  // Trailer: 8-byte length + 8-byte checksum; pad the whole body to a block
-  // multiple before CBC.
-  const size_t body_len = plaintext.size() + 16;
-  const size_t padded = (body_len + kBlockSize - 1) / kBlockSize * kBlockSize;
-
-  Bytes out(kBlockSize + padded, 0);
+  const XteaSchedule schedule(key);
+  const uint64_t n = plaintext.size();
+  Bytes out(kBlockSize + PaddedLength(n));
+  uint8_t* dst = out.data();
 
   // Derive the IV by encrypting the seed, so IVs are unpredictable without
-  // the key but reproducible for a given (key, seed).
-  uint8_t iv[kBlockSize];
-  PutU64(iv_seed, iv);
-  XteaEncryptBlock(key, iv);
-  std::memcpy(out.data(), iv, kBlockSize);
+  // the key but reproducible for a given (key, seed). The IV is the first
+  // chaining value.
+  uint32_t c0 = static_cast<uint32_t>(iv_seed);
+  uint32_t c1 = static_cast<uint32_t>(iv_seed >> 32);
+  XteaEncryptRounds(schedule, c0, c1);
+  StoreLe32(c0, dst);
+  StoreLe32(c1, dst + 4);
+  dst += kBlockSize;
 
-  uint8_t* body = out.data() + kBlockSize;
-  if (!plaintext.empty()) std::memcpy(body, plaintext.data(), plaintext.size());
-  PutU64(plaintext.size(), body + padded - 16);
-  PutU64(Fnv1a(plaintext.data(), plaintext.size()), body + padded - 8);
-
-  uint8_t prev[kBlockSize];
-  std::memcpy(prev, iv, kBlockSize);
-  for (size_t off = 0; off < padded; off += kBlockSize) {
-    for (int j = 0; j < kBlockSize; ++j) body[off + j] ^= prev[j];
-    XteaEncryptBlock(key, body + off);
-    std::memcpy(prev, body + off, kBlockSize);
+  // Whole plaintext blocks. Each is hashed before it is encrypted; the
+  // checksum travels in the last block, after every plaintext byte.
+  const uint8_t* src = plaintext.data();
+  uint64_t h = kFnvOffset;
+  for (size_t off = 0; off + kBlockSize <= n; off += kBlockSize) {
+    h = Fnv1a(h, src + off, kBlockSize);
+    SealBlock(schedule, LoadLe32(src + off), LoadLe32(src + off + 4), c0, c1, dst);
+    dst += kBlockSize;
   }
+  // A partial last block is zero-padded.
+  if (const size_t tail = n % kBlockSize; tail != 0) {
+    uint8_t block[kBlockSize] = {};
+    std::memcpy(block, src + n - tail, tail);
+    h = Fnv1a(h, block, tail);
+    SealBlock(schedule, LoadLe32(block), LoadLe32(block + 4), c0, c1, dst);
+    dst += kBlockSize;
+  }
+  // Trailer: length, then checksum, one block each.
+  SealBlock(schedule, static_cast<uint32_t>(n), static_cast<uint32_t>(n >> 32), c0, c1, dst);
+  SealBlock(schedule, static_cast<uint32_t>(h), static_cast<uint32_t>(h >> 32), c0, c1,
+            dst + kBlockSize);
   return out;
 }
 
@@ -64,31 +99,65 @@ Result<Bytes> Open(const Key& key, const Bytes& sealed) {
       (sealed.size() - kBlockSize) % kBlockSize != 0) {
     return Status::kInvalidArgument;
   }
+  const XteaSchedule schedule(key);
   const size_t padded = sealed.size() - kBlockSize;
-  Bytes body(sealed.begin() + kBlockSize, sealed.end());
+  // Ciphertext block i sits at body + 8i; its chaining value is the 8 bytes
+  // before it (the IV for block 0), read straight from `sealed`.
+  const uint8_t* body = sealed.data() + kBlockSize;
 
-  uint8_t prev[kBlockSize];
-  std::memcpy(prev, sealed.data(), kBlockSize);
-  for (size_t off = 0; off < padded; off += kBlockSize) {
-    uint8_t cipher[kBlockSize];
-    std::memcpy(cipher, body.data() + off, kBlockSize);
-    XteaDecryptBlock(key, body.data() + off);
-    for (int j = 0; j < kBlockSize; ++j) body[off + j] ^= prev[j];
-    std::memcpy(prev, cipher, kBlockSize);
+  // The trailer first: a length that disagrees with the padding is
+  // rejected before any plaintext is allocated. The first check also keeps
+  // PaddedLength from wrapping on a hostile length.
+  uint32_t w0 = 0, w1 = 0;
+  OpenBlock(schedule, body + padded - kTrailer, w0, w1);
+  const uint64_t length = w0 | (static_cast<uint64_t>(w1) << 32);
+  OpenBlock(schedule, body + padded - kBlockSize, w0, w1);
+  const uint64_t checksum = w0 | (static_cast<uint64_t>(w1) << 32);
+  if (length > padded - kTrailer) return Status::kTamperDetected;
+  if (PaddedLength(length) != padded) return Status::kTamperDetected;
+
+  // CBC decryption of block i needs only ciphertext blocks i and i-1, so
+  // blocks are independent: decrypt kLanes of them per step, one per lane.
+  // The plaintext is written once, into the buffer that is returned, and
+  // hashed right behind the decryption.
+  Bytes plain(length);
+  uint8_t* dst = plain.data();
+  const size_t whole = length / kBlockSize;
+  uint64_t h = kFnvOffset;
+  size_t i = 0;
+  for (; i + kLanes <= whole; i += kLanes) {
+    const uint8_t* in = body + i * kBlockSize;
+    uint8_t* out = dst + i * kBlockSize;
+    Lanes v0 = {}, v1 = {};
+    for (size_t j = 0; j < kLanes; ++j) {
+      v0[j] = LoadLe32(in + j * kBlockSize);
+      v1[j] = LoadLe32(in + j * kBlockSize + 4);
+    }
+    XteaDecryptRounds(schedule, v0, v1);
+    for (size_t j = 0; j < kLanes; ++j) {
+      const uint8_t* prev = in + j * kBlockSize - kBlockSize;
+      StoreLe32(v0[j] ^ LoadLe32(prev), out + j * kBlockSize);
+      StoreLe32(v1[j] ^ LoadLe32(prev + 4), out + j * kBlockSize + 4);
+    }
+    h = Fnv1a(h, out, kLanes * kBlockSize);
   }
-
-  const uint64_t length = GetU64(body.data() + padded - 16);
-  const uint64_t checksum = GetU64(body.data() + padded - 8);
-  if (length > padded - 16) return Status::kTamperDetected;
-  // Length must be consistent with the padding: body_len = length + 16 must
-  // round up to exactly `padded`.
-  if ((length + 16 + kBlockSize - 1) / kBlockSize * kBlockSize != padded) {
-    return Status::kTamperDetected;
+  for (; i < whole; ++i) {
+    uint8_t* out = dst + i * kBlockSize;
+    OpenBlock(schedule, body + i * kBlockSize, w0, w1);
+    StoreLe32(w0, out);
+    StoreLe32(w1, out + 4);
+    h = Fnv1a(h, out, kBlockSize);
   }
-  if (Fnv1a(body.data(), length) != checksum) return Status::kTamperDetected;
-
-  body.resize(length);
-  return body;
+  if (const size_t tail = length % kBlockSize; tail != 0) {
+    uint8_t block[kBlockSize];
+    OpenBlock(schedule, body + whole * kBlockSize, w0, w1);
+    StoreLe32(w0, block);
+    StoreLe32(w1, block + 4);
+    std::memcpy(dst + whole * kBlockSize, block, tail);
+    h = Fnv1a(h, block, tail);
+  }
+  if (h != checksum) return Status::kTamperDetected;
+  return plain;
 }
 
 }  // namespace itc::crypto

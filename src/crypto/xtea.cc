@@ -1,75 +1,44 @@
 #include "src/crypto/xtea.h"
 
-#include <cstring>
-
 namespace itc::crypto {
 
 namespace {
 
 constexpr uint32_t kDelta = 0x9e3779b9u;
 
-void LoadKey(const Key& key, uint32_t k[4]) {
-  for (int i = 0; i < 4; ++i) {
-    k[i] = static_cast<uint32_t>(key.bytes[4 * i]) |
-           (static_cast<uint32_t>(key.bytes[4 * i + 1]) << 8) |
-           (static_cast<uint32_t>(key.bytes[4 * i + 2]) << 16) |
-           (static_cast<uint32_t>(key.bytes[4 * i + 3]) << 24);
-  }
-}
-
-uint32_t LoadWord(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) | (static_cast<uint32_t>(p[3]) << 24);
-}
-
-void StoreWord(uint32_t v, uint8_t* p) {
-  p[0] = static_cast<uint8_t>(v);
-  p[1] = static_cast<uint8_t>(v >> 8);
-  p[2] = static_cast<uint8_t>(v >> 16);
-  p[3] = static_cast<uint8_t>(v >> 24);
-}
-
 }  // namespace
 
-void XteaEncryptBlock(const Key& key, uint32_t block[2]) {
+XteaSchedule::XteaSchedule(const Key& key) {
   uint32_t k[4];
-  LoadKey(key, k);
-  uint32_t v0 = block[0], v1 = block[1], sum = 0;
-  for (int i = 0; i < kXteaRounds / 2; ++i) {
-    v0 += (((v1 << 4) ^ (v1 >> 5)) + v1) ^ (sum + k[sum & 3]);
+  for (int i = 0; i < 4; ++i) k[i] = LoadLe32(key.bytes.data() + 4 * i);
+  uint32_t sum = 0;
+  for (int i = 0; i < kXteaRounds; i += 2) {
+    round[i] = sum + k[sum & 3];
     sum += kDelta;
-    v1 += (((v0 << 4) ^ (v0 >> 5)) + v0) ^ (sum + k[(sum >> 11) & 3]);
+    round[i + 1] = sum + k[(sum >> 11) & 3];
   }
-  block[0] = v0;
-  block[1] = v1;
+}
+
+void XteaEncryptBlock(const Key& key, uint32_t block[2]) {
+  XteaEncryptRounds(XteaSchedule(key), block[0], block[1]);
 }
 
 void XteaDecryptBlock(const Key& key, uint32_t block[2]) {
-  uint32_t k[4];
-  LoadKey(key, k);
-  uint32_t v0 = block[0], v1 = block[1];
-  uint32_t sum = kDelta * static_cast<uint32_t>(kXteaRounds / 2);
-  for (int i = 0; i < kXteaRounds / 2; ++i) {
-    v1 -= (((v0 << 4) ^ (v0 >> 5)) + v0) ^ (sum + k[(sum >> 11) & 3]);
-    sum -= kDelta;
-    v0 -= (((v1 << 4) ^ (v1 >> 5)) + v1) ^ (sum + k[sum & 3]);
-  }
-  block[0] = v0;
-  block[1] = v1;
+  XteaDecryptRounds(XteaSchedule(key), block[0], block[1]);
 }
 
 void XteaEncryptBlock(const Key& key, uint8_t block[kBlockSize]) {
-  uint32_t v[2] = {LoadWord(block), LoadWord(block + 4)};
+  uint32_t v[2] = {LoadLe32(block), LoadLe32(block + 4)};
   XteaEncryptBlock(key, v);
-  StoreWord(v[0], block);
-  StoreWord(v[1], block + 4);
+  StoreLe32(v[0], block);
+  StoreLe32(v[1], block + 4);
 }
 
 void XteaDecryptBlock(const Key& key, uint8_t block[kBlockSize]) {
-  uint32_t v[2] = {LoadWord(block), LoadWord(block + 4)};
+  uint32_t v[2] = {LoadLe32(block), LoadLe32(block + 4)};
   XteaDecryptBlock(key, v);
-  StoreWord(v[0], block);
-  StoreWord(v[1], block + 4);
+  StoreLe32(v[0], block);
+  StoreLe32(v[1], block + 4);
 }
 
 }  // namespace itc::crypto

@@ -19,6 +19,10 @@
 
 namespace itc::rpc {
 
+// Smallest encodings of the variable-count element types, for Reader::Count.
+inline constexpr size_t kFidWireBytes = 12;
+inline constexpr size_t kStringMinWireBytes = 4;  // length prefix of ""
+
 class Writer {
  public:
   void PutU8(uint8_t v) { buf_.push_back(v); }
@@ -95,6 +99,15 @@ class Reader {
             buf_.begin() + static_cast<ptrdiff_t>(pos_ + n));
     pos_ += n;
     return b;
+  }
+  // Reads an element count that a peer sent before a sequence of elements
+  // each at least `min_wire_bytes_per_elem` long. kProtocolError if the rest
+  // of the buffer cannot hold that many, so a hostile count can never size
+  // an allocation.
+  [[nodiscard]] Result<uint32_t> Count(size_t min_wire_bytes_per_elem) {
+    ASSIGN_OR_RETURN(uint32_t n, U32());
+    if (n > remaining() / min_wire_bytes_per_elem) return Status::kProtocolError;
+    return n;
   }
   [[nodiscard]] Result<Fid> FidField() {
     Fid f;

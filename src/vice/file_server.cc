@@ -1082,7 +1082,7 @@ Bytes ViceServer::HandleGrantLease(rpc::CallContext& ctx, rpc::Reader& r) {
 }
 
 Bytes ViceServer::HandleRenewLeases(rpc::CallContext& ctx, rpc::Reader& r) {
-  auto n = r.U32();
+  auto n = r.Count(rpc::kFidWireBytes);
   if (!n.ok()) return StatusReply(Status::kProtocolError);
   std::vector<Fid> fids;
   fids.reserve(*n);

@@ -65,6 +65,28 @@ TEST(WireTest, OversizedStringLengthFails) {
   EXPECT_EQ(r2.String().status(), Status::kProtocolError);
 }
 
+TEST(WireTest, CountBoundedByRemainingBytes) {
+  Writer w;
+  w.PutU32(2);
+  w.PutFid(Fid{1, 2, 3});
+  w.PutFid(Fid{4, 5, 6});
+  const Bytes buf = w.Take();
+  Reader ok(buf);
+  EXPECT_EQ(*ok.Count(kFidWireBytes), 2u);
+
+  // One byte short of the second element.
+  const Bytes short_buf(buf.begin(), buf.end() - 1);
+  Reader r(short_buf);
+  EXPECT_EQ(r.Count(kFidWireBytes).status(), Status::kProtocolError);
+
+  // A hostile count: four billion elements claimed, none present.
+  Writer hostile;
+  hostile.PutU32(0xffffffffu);
+  const Bytes huge = hostile.Take();
+  Reader h(huge);
+  EXPECT_EQ(h.Count(kStringMinWireBytes).status(), Status::kProtocolError);
+}
+
 // --- End-to-end RPC -----------------------------------------------------------
 
 // Echo service: returns the request, optionally charging resources.
