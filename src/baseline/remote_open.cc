@@ -7,138 +7,169 @@
 
 namespace itc::baseline {
 
-namespace {
-
-}  // namespace
+const rpc::OpSchema& RemoteOpenOpSchema() {
+  constexpr rpc::CallClass kS = rpc::CallClass::kStatus;
+  constexpr rpc::CallClass kF = rpc::CallClass::kFetch;
+  constexpr rpc::CallClass kW = rpc::CallClass::kStore;
+  constexpr rpc::CallClass kO = rpc::CallClass::kOther;
+  auto op = [](Proc p) { return static_cast<uint32_t>(p); };
+  static const rpc::OpSchema schema(
+      "remote-open",
+      {
+          {op(Proc::kOpen), "Open", kO, /*idempotent=*/false, 0,
+           "`string path, bool create`", "`u64 handle, u64 size`"},
+          {op(Proc::kClose), "Close", kO, false, 0, "`u64 handle`", "—"},
+          {op(Proc::kRead), "Read", kF, true, 0,
+           "`u64 handle, u64 offset, u64 length` (length ≤ one 4096-byte page)",
+           "`bytes data` (short at end of file)"},
+          {op(Proc::kWrite), "Write", kW, false, 0,
+           "`u64 handle, u64 offset, bytes data` (data ≤ one 4096-byte page)", "—"},
+          {op(Proc::kStat), "Stat", kS, true, 0, "`string path`",
+           "`u64 size, i64 mtime, bool is_directory`"},
+          {op(Proc::kMkDir), "MkDir", kO, false, 0, "`string path`", "—"},
+          {op(Proc::kUnlink), "Unlink", kO, false, 0, "`string path`", "—"},
+          {op(Proc::kReadDir), "ReadDir", kO, true, 0, "`string path`",
+           "`u32 n, string name...`"},
+          {op(Proc::kRename), "Rename", kO, false, 0,
+           "`string from, string to` (same server: the service has one volume)", "—"},
+          {op(Proc::kRmDir), "RmDir", kO, false, 0, "`string path`", "—"},
+          {op(Proc::kTruncate), "Truncate", kO, false, 0, "`u64 handle, u64 size`", "—"},
+      });
+  return schema;
+}
 
 RemoteOpenServer::RemoteOpenServer(NodeId node, net::Network* network,
                                    const sim::CostModel& cost, rpc::RpcConfig rpc_config,
                                    rpc::ServerEndpoint::KeyLookup key_lookup,
                                    uint64_t nonce_seed)
     : cost_(cost),
+      registry_(&RemoteOpenOpSchema()),
       endpoint_(node, network, cost, rpc_config, std::move(key_lookup), nonce_seed) {
-  endpoint_.set_service(this);
+  BindOps();
+  endpoint_.set_registry(&registry_);
 }
 
-Result<Bytes> RemoteOpenServer::Dispatch(rpc::CallContext& ctx, uint32_t proc_raw,
-                                         const Bytes& request) {
-  rpc::Reader r(request);
-  switch (static_cast<Proc>(proc_raw)) {
-    case Proc::kOpen: {
-      auto path = r.String();
-      auto create = path.ok() ? r.Bool() : Result<bool>(Status::kProtocolError);
-      if (!create.ok()) return rpc::StatusOnlyReply(Status::kProtocolError);
-      auto inode = storage_.Resolve(*path);
-      if (!inode.ok() && inode.status() == Status::kNotFound && *create) {
-        inode = storage_.Create(*path, unixfs::kDefaultFileMode, ctx.user());
-      }
-      if (!inode.ok()) return rpc::StatusOnlyReply(inode.status());
-      auto st = storage_.StatInode(*inode);
-      if (!st.ok()) return rpc::StatusOnlyReply(st.status());
-      if (st->type == unixfs::FileType::kDirectory) return rpc::StatusOnlyReply(Status::kIsDirectory);
-      const uint64_t handle = next_handle_++;
-      handles_[handle] = *inode;
-      ctx.ChargeDisk(0);  // open touches the inode
-      rpc::Writer w;
-      w.PutStatus(Status::kOk);
-      w.PutU64(handle);
-      w.PutU64(st->size);
-      return w.Take();
+void RemoteOpenServer::BindOps() {
+  auto bind = [this](Proc proc, auto handler) {
+    registry_.Bind(static_cast<uint32_t>(proc),
+                   [handler](rpc::CallContext& ctx, const Bytes& request) -> Result<Bytes> {
+                     rpc::Reader r(request);
+                     return handler(ctx, r);
+                   });
+  };
+  bind(Proc::kOpen, [this](rpc::CallContext& ctx, rpc::Reader& r) {
+    auto path = r.String();
+    auto create = path.ok() ? r.Bool() : Result<bool>(Status::kProtocolError);
+    if (!create.ok()) return rpc::StatusOnlyReply(Status::kProtocolError);
+    auto inode = storage_.Resolve(*path);
+    if (!inode.ok() && inode.status() == Status::kNotFound && *create) {
+      inode = storage_.Create(*path, unixfs::kDefaultFileMode, ctx.user());
     }
-    case Proc::kClose: {
-      auto handle = r.U64();
-      if (!handle.ok()) return rpc::StatusOnlyReply(Status::kProtocolError);
-      return rpc::StatusOnlyReply(handles_.erase(*handle) > 0 ? Status::kOk
-                                                     : Status::kBadDescriptor);
-    }
-    case Proc::kRead: {
-      auto handle = r.U64();
-      auto offset = handle.ok() ? r.U64() : Result<uint64_t>(Status::kProtocolError);
-      auto length = offset.ok() ? r.U64() : Result<uint64_t>(Status::kProtocolError);
-      if (!length.ok() || *length > kPageSize) return rpc::StatusOnlyReply(Status::kProtocolError);
-      auto it = handles_.find(*handle);
-      if (it == handles_.end()) return rpc::StatusOnlyReply(Status::kBadDescriptor);
-      auto data = storage_.ReadAt(it->second, *offset, *length);
-      if (!data.ok()) return rpc::StatusOnlyReply(data.status());
-      ctx.ChargeDisk(data->size());
-      ctx.ChargeCpu(cost_.ServerCopyCpu(data->size()));
-      rpc::Writer w;
-      w.PutStatus(Status::kOk);
-      w.PutBytes(*data);
-      return w.Take();
-    }
-    case Proc::kWrite: {
-      auto handle = r.U64();
-      auto offset = handle.ok() ? r.U64() : Result<uint64_t>(Status::kProtocolError);
-      auto data = offset.ok() ? r.BytesField() : Result<Bytes>(Status::kProtocolError);
-      if (!data.ok() || data->size() > kPageSize) return rpc::StatusOnlyReply(Status::kProtocolError);
-      auto it = handles_.find(*handle);
-      if (it == handles_.end()) return rpc::StatusOnlyReply(Status::kBadDescriptor);
-      ctx.ChargeDisk(data->size());
-      ctx.ChargeCpu(cost_.ServerCopyCpu(data->size()));
-      return rpc::StatusOnlyReply(storage_.WriteAt(it->second, *offset, *data));
-    }
-    case Proc::kStat: {
-      auto path = r.String();
-      if (!path.ok()) return rpc::StatusOnlyReply(Status::kProtocolError);
-      auto st = storage_.Stat(*path);
-      if (!st.ok()) return rpc::StatusOnlyReply(st.status());
-      ctx.ChargeDisk(0);
-      rpc::Writer w;
-      w.PutStatus(Status::kOk);
-      w.PutU64(st->size);
-      w.PutI64(st->mtime);
-      w.PutBool(st->type == unixfs::FileType::kDirectory);
-      return w.Take();
-    }
-    case Proc::kMkDir: {
-      auto path = r.String();
-      if (!path.ok()) return rpc::StatusOnlyReply(Status::kProtocolError);
-      ctx.ChargeDisk(0);
-      return rpc::StatusOnlyReply(storage_.MkDir(*path));
-    }
-    case Proc::kUnlink: {
-      auto path = r.String();
-      if (!path.ok()) return rpc::StatusOnlyReply(Status::kProtocolError);
-      ctx.ChargeDisk(0);
-      return rpc::StatusOnlyReply(storage_.Unlink(*path));
-    }
-    case Proc::kReadDir: {
-      auto path = r.String();
-      if (!path.ok()) return rpc::StatusOnlyReply(Status::kProtocolError);
-      auto entries = storage_.ReadDir(*path);
-      if (!entries.ok()) return rpc::StatusOnlyReply(entries.status());
-      ctx.ChargeDisk(0);
-      rpc::Writer w;
-      w.PutStatus(Status::kOk);
-      w.PutU32(static_cast<uint32_t>(entries->size()));
-      for (const auto& e : *entries) w.PutString(e.name);
-      return w.Take();
-    }
-    case Proc::kRename: {
-      auto from = r.String();
-      auto to = from.ok() ? r.String() : Result<std::string>(Status::kProtocolError);
-      if (!to.ok()) return rpc::StatusOnlyReply(Status::kProtocolError);
-      ctx.ChargeDisk(0);
-      return rpc::StatusOnlyReply(storage_.Rename(*from, *to));
-    }
-    case Proc::kRmDir: {
-      auto path = r.String();
-      if (!path.ok()) return rpc::StatusOnlyReply(Status::kProtocolError);
-      ctx.ChargeDisk(0);
-      return rpc::StatusOnlyReply(storage_.RmDir(*path));
-    }
-    case Proc::kTruncate: {
-      auto handle = r.U64();
-      auto size = handle.ok() ? r.U64() : Result<uint64_t>(Status::kProtocolError);
-      if (!size.ok()) return rpc::StatusOnlyReply(Status::kProtocolError);
-      auto it = handles_.find(*handle);
-      if (it == handles_.end()) return rpc::StatusOnlyReply(Status::kBadDescriptor);
-      ctx.ChargeDisk(0);
-      return rpc::StatusOnlyReply(storage_.Truncate(it->second, *size));
-    }
-  }
-  return Status::kProtocolError;
+    if (!inode.ok()) return rpc::StatusOnlyReply(inode.status());
+    auto st = storage_.StatInode(*inode);
+    if (!st.ok()) return rpc::StatusOnlyReply(st.status());
+    if (st->type == unixfs::FileType::kDirectory) return rpc::StatusOnlyReply(Status::kIsDirectory);
+    const uint64_t handle = next_handle_++;
+    handles_[handle] = *inode;
+    ctx.ChargeDisk(0);  // open touches the inode
+    rpc::Writer w;
+    w.PutStatus(Status::kOk);
+    w.PutU64(handle);
+    w.PutU64(st->size);
+    return w.Take();
+  });
+  bind(Proc::kClose, [this](rpc::CallContext&, rpc::Reader& r) {
+    auto handle = r.U64();
+    if (!handle.ok()) return rpc::StatusOnlyReply(Status::kProtocolError);
+    return rpc::StatusOnlyReply(handles_.erase(*handle) > 0 ? Status::kOk
+                                                   : Status::kBadDescriptor);
+  });
+  bind(Proc::kRead, [this](rpc::CallContext& ctx, rpc::Reader& r) {
+    auto handle = r.U64();
+    auto offset = handle.ok() ? r.U64() : Result<uint64_t>(Status::kProtocolError);
+    auto length = offset.ok() ? r.U64() : Result<uint64_t>(Status::kProtocolError);
+    if (!length.ok() || *length > kPageSize) return rpc::StatusOnlyReply(Status::kProtocolError);
+    auto it = handles_.find(*handle);
+    if (it == handles_.end()) return rpc::StatusOnlyReply(Status::kBadDescriptor);
+    auto data = storage_.ReadAt(it->second, *offset, *length);
+    if (!data.ok()) return rpc::StatusOnlyReply(data.status());
+    ctx.ChargeDisk(data->size());
+    ctx.ChargeCpu(cost_.ServerCopyCpu(data->size()));
+    rpc::Writer w;
+    w.PutStatus(Status::kOk);
+    w.PutBytes(*data);
+    return w.Take();
+  });
+  bind(Proc::kWrite, [this](rpc::CallContext& ctx, rpc::Reader& r) {
+    auto handle = r.U64();
+    auto offset = handle.ok() ? r.U64() : Result<uint64_t>(Status::kProtocolError);
+    auto data = offset.ok() ? r.BytesField() : Result<Bytes>(Status::kProtocolError);
+    if (!data.ok() || data->size() > kPageSize) return rpc::StatusOnlyReply(Status::kProtocolError);
+    auto it = handles_.find(*handle);
+    if (it == handles_.end()) return rpc::StatusOnlyReply(Status::kBadDescriptor);
+    ctx.ChargeDisk(data->size());
+    ctx.ChargeCpu(cost_.ServerCopyCpu(data->size()));
+    return rpc::StatusOnlyReply(storage_.WriteAt(it->second, *offset, *data));
+  });
+  bind(Proc::kStat, [this](rpc::CallContext& ctx, rpc::Reader& r) {
+    auto path = r.String();
+    if (!path.ok()) return rpc::StatusOnlyReply(Status::kProtocolError);
+    auto st = storage_.Stat(*path);
+    if (!st.ok()) return rpc::StatusOnlyReply(st.status());
+    ctx.ChargeDisk(0);
+    rpc::Writer w;
+    w.PutStatus(Status::kOk);
+    w.PutU64(st->size);
+    w.PutI64(st->mtime);
+    w.PutBool(st->type == unixfs::FileType::kDirectory);
+    return w.Take();
+  });
+  bind(Proc::kMkDir, [this](rpc::CallContext& ctx, rpc::Reader& r) {
+    auto path = r.String();
+    if (!path.ok()) return rpc::StatusOnlyReply(Status::kProtocolError);
+    ctx.ChargeDisk(0);
+    return rpc::StatusOnlyReply(storage_.MkDir(*path));
+  });
+  bind(Proc::kUnlink, [this](rpc::CallContext& ctx, rpc::Reader& r) {
+    auto path = r.String();
+    if (!path.ok()) return rpc::StatusOnlyReply(Status::kProtocolError);
+    ctx.ChargeDisk(0);
+    return rpc::StatusOnlyReply(storage_.Unlink(*path));
+  });
+  bind(Proc::kReadDir, [this](rpc::CallContext& ctx, rpc::Reader& r) {
+    auto path = r.String();
+    if (!path.ok()) return rpc::StatusOnlyReply(Status::kProtocolError);
+    auto entries = storage_.ReadDir(*path);
+    if (!entries.ok()) return rpc::StatusOnlyReply(entries.status());
+    ctx.ChargeDisk(0);
+    rpc::Writer w;
+    w.PutStatus(Status::kOk);
+    w.PutU32(static_cast<uint32_t>(entries->size()));
+    for (const auto& e : *entries) w.PutString(e.name);
+    return w.Take();
+  });
+  bind(Proc::kRename, [this](rpc::CallContext& ctx, rpc::Reader& r) {
+    auto from = r.String();
+    auto to = from.ok() ? r.String() : Result<std::string>(Status::kProtocolError);
+    if (!to.ok()) return rpc::StatusOnlyReply(Status::kProtocolError);
+    ctx.ChargeDisk(0);
+    return rpc::StatusOnlyReply(storage_.Rename(*from, *to));
+  });
+  bind(Proc::kRmDir, [this](rpc::CallContext& ctx, rpc::Reader& r) {
+    auto path = r.String();
+    if (!path.ok()) return rpc::StatusOnlyReply(Status::kProtocolError);
+    ctx.ChargeDisk(0);
+    return rpc::StatusOnlyReply(storage_.RmDir(*path));
+  });
+  bind(Proc::kTruncate, [this](rpc::CallContext& ctx, rpc::Reader& r) {
+    auto handle = r.U64();
+    auto size = handle.ok() ? r.U64() : Result<uint64_t>(Status::kProtocolError);
+    if (!size.ok()) return rpc::StatusOnlyReply(Status::kProtocolError);
+    auto it = handles_.find(*handle);
+    if (it == handles_.end()) return rpc::StatusOnlyReply(Status::kBadDescriptor);
+    ctx.ChargeDisk(0);
+    return rpc::StatusOnlyReply(storage_.Truncate(it->second, *size));
+  });
 }
 
 RemoteOpenClient::RemoteOpenClient(NodeId node, sim::Clock* clock, RemoteOpenServer* server,

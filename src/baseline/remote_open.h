@@ -24,6 +24,7 @@
 #include "src/common/result.h"
 #include "src/common/types.h"
 #include "src/net/network.h"
+#include "src/rpc/op_registry.h"
 #include "src/rpc/rpc.h"
 #include "src/sim/clock.h"
 #include "src/sim/cost_model.h"
@@ -34,20 +35,24 @@ namespace itc::baseline {
 inline constexpr uint64_t kPageSize = 4096;
 
 enum class Proc : uint32_t {
-  kOpen = 1,     // path, create -> handle, size
-  kClose = 2,    // handle
-  kRead = 3,     // handle, offset, length(<=page) -> data
-  kWrite = 4,    // handle, offset, data(<=page)
-  kStat = 5,     // path -> size, mtime, type
-  kMkDir = 6,    // path
-  kUnlink = 7,   // path
-  kReadDir = 8,  // path -> names
-  kRename = 9,   // from, to (same server — this service has one volume)
-  kRmDir = 10,   // path
-  kTruncate = 11,  // handle, size
+  kOpen = 1,
+  kClose = 2,
+  kRead = 3,
+  kWrite = 4,
+  kStat = 5,
+  kMkDir = 6,
+  kUnlink = 7,
+  kReadDir = 8,
+  kRename = 9,
+  kRmDir = 10,
+  kTruncate = 11,
 };
 
-class RemoteOpenServer : public rpc::Service {
+// The remote-open service's typed op table, wire formats included. Only the
+// pure reads (Read, Stat, ReadDir) are idempotent.
+const rpc::OpSchema& RemoteOpenOpSchema();
+
+class RemoteOpenServer {
  public:
   RemoteOpenServer(NodeId node, net::Network* network, const sim::CostModel& cost,
                    rpc::RpcConfig rpc_config, rpc::ServerEndpoint::KeyLookup key_lookup,
@@ -59,10 +64,11 @@ class RemoteOpenServer : public rpc::Service {
 
   uint64_t open_handles() const { return handles_.size(); }
 
-  [[nodiscard]] Result<Bytes> Dispatch(rpc::CallContext& ctx, uint32_t proc, const Bytes& request) override;
-
  private:
+  void BindOps();
+
   sim::CostModel cost_;
+  rpc::OpRegistry registry_;
   rpc::ServerEndpoint endpoint_;
   unixfs::FileSystem storage_;
   std::map<uint64_t, unixfs::InodeNum> handles_;

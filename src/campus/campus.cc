@@ -136,16 +136,13 @@ Result<VolumeId> Campus::CreateSystemVolume(const std::string& name,
 Result<Fid> Campus::EnsureDirDirect(vice::Volume* vol, const std::string& path) {
   Fid cur = vol->root();
   for (const std::string& comp : SplitPath(path)) {
-    auto data = vol->FetchData(cur);
-    if (!data.ok()) return data.status();
-    auto entries = vice::DeserializeDirectory(*data);
-    if (!entries.ok()) return Status::kInternal;
-    auto it = entries->find(comp);
-    if (it != entries->end()) {
-      if (it->second.kind != vice::DirItem::Kind::kDirectory) return Status::kNotDirectory;
-      cur = it->second.fid;
+    auto entry = vol->LookupEntry(cur, comp);
+    if (entry.ok()) {
+      if (entry->kind != vice::DirItem::Kind::kDirectory) return Status::kNotDirectory;
+      cur = entry->fid;
       continue;
     }
+    if (entry.status() != Status::kNotFound) return entry.status();
     auto acl = vol->EffectiveAcl(cur);
     if (!acl.ok()) return acl.status();
     ASSIGN_OR_RETURN(cur, vol->MakeDir(cur, comp, kAnonymousUser, *acl));
@@ -175,14 +172,11 @@ Status Campus::PopulateDirect(VolumeId volume, const std::string& path,
   const std::string leaf(Basename(path));
 
   // Replace existing contents if the file is already there.
-  auto dir_data = vol->FetchData(dir);
-  if (!dir_data.ok()) return dir_data.status();
-  auto entries = vice::DeserializeDirectory(*dir_data);
-  if (!entries.ok()) return Status::kInternal;
+  auto entry = vol->LookupEntry(dir, leaf);
+  if (!entry.ok() && entry.status() != Status::kNotFound) return entry.status();
   Fid fid;
-  auto it = entries->find(leaf);
-  if (it != entries->end()) {
-    fid = it->second.fid;
+  if (entry.ok()) {
+    fid = entry->fid;
   } else {
     ASSIGN_OR_RETURN(fid, vol->CreateFile(dir, leaf, kAnonymousUser, 0644));
   }

@@ -7,11 +7,11 @@ namespace itc::rpc {
 namespace {
 
 // Outcome recorded for a finished call: the transport status on failure,
-// else the application status peeked from the reply prologue (every schema
-// op's reply begins with a Status; non-schema replies are opaque).
-Status OutcomeOf(const ServerCallInfo& info, const Result<Bytes>& result) {
+// else the application status peeked from the reply prologue. Every reply
+// begins with a Status: an opcode outside the schema never gets one, as the
+// registry refuses it with kProtocolError.
+Status OutcomeOf(const Result<Bytes>& result) {
   if (!result.ok()) return result.status();
-  if (info.op == nullptr) return Status::kOk;
   Reader r(result.value());
   Status app = Status::kOk;
   if (r.ReadStatus(&app) != Status::kOk) return Status::kProtocolError;
@@ -63,7 +63,7 @@ Result<Bytes> ServerTracingInterceptor::Intercept(ServerCallInfo& info,
     stats_->Record(info.opcode, info.op != nullptr ? info.op->name : "unknown",
                    info.op != nullptr ? info.op->call_class : CallClass::kOther,
                    completion - arrival, request.size(),
-                   result.ok() ? result.value().size() : 0, OutcomeOf(info, result));
+                   result.ok() ? result.value().size() : 0, OutcomeOf(result));
   }
   return result;
 }

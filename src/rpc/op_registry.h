@@ -1,14 +1,14 @@
 // Typed operation registry for RPC services.
 //
-// Every service (the Vice file server, the protection server) describes its
-// procedures once in an OpSchema — `{opcode, name, CallClass, idempotent,
-// flags, wire docs}` — and binds handlers into an OpRegistry. The server
-// endpoint dispatches through the registry instead of a hand-rolled opcode
-// switch, which gives every layer the same metadata: the tracing interceptor
-// labels CallStats entries from it, the client-side retry interceptor
-// consults `idempotent` (§3.5.3 at-most-once semantics for mutators), and
-// docs/PROTOCOL.md's opcode tables are rendered from it (RenderOpTable), so
-// the document cannot drift from the code.
+// Every service (the Vice file server, the protection server, the
+// remote-open baseline, the PC surrogate) describes its procedures once in
+// an OpSchema — `{opcode, name, CallClass, idempotent, flags, wire docs}` —
+// and binds handlers into an OpRegistry. The registry is the server
+// endpoint's only dispatch path, which gives every layer the same metadata:
+// the tracing interceptor labels CallStats entries from it, the client-side
+// retry interceptor consults `idempotent` (§3.5.3 at-most-once semantics for
+// mutators), and docs/PROTOCOL.md's opcode tables are rendered from it
+// (RenderOpTable), so the document cannot drift from the code.
 
 #ifndef SRC_RPC_OP_REGISTRY_H_
 #define SRC_RPC_OP_REGISTRY_H_

@@ -126,9 +126,9 @@ Result<Bytes> ServerEndpoint::HandleCall(uint64_t conn_id, NodeId client_node,
   conn.last_client_seq = client_seq;
   Bytes body(request.begin() + 12, request.end());
 
-  ITC_CHECK(registry_ != nullptr || service_ != nullptr);
+  ITC_CHECK(registry_ != nullptr);
   ServerCallInfo info;
-  info.op = registry_ != nullptr ? registry_->schema().Find(proc) : nullptr;
+  info.op = registry_->schema().Find(proc);
   info.opcode = proc;
   info.user = conn.user;
   info.client_node = client_node;
@@ -152,9 +152,7 @@ Result<Bytes> ServerEndpoint::HandleCall(uint64_t conn_id, NodeId client_node,
     SimTime t = sim::Charge(cpu_, info.arrival, pickup_cpu);
 
     CallContext ctx(conn.user, client_node, info.arrival);
-    Result<Bytes> dispatched = registry_ != nullptr
-                                   ? registry_->Dispatch(ctx, proc, b)
-                                   : service_->Dispatch(ctx, proc, b);
+    Result<Bytes> dispatched = registry_->Dispatch(ctx, proc, b);
     if (!dispatched.ok()) return dispatched;
     Bytes reply = std::move(dispatched).value();
 

@@ -14,6 +14,11 @@
 //     authentication handshake of src/crypto; afterwards every request and
 //     reply is sealed under the per-session key. Whole-file transfer rides
 //     the same sealed messages ("generalized side-effects").
+//   * Dispatch. Every service on this package — the Vice file server, the
+//     protection server, the remote-open baseline and the PC surrogate —
+//     describes its procedures in an OpSchema and hands its endpoint an
+//     OpRegistry (src/rpc/op_registry.h). There is one dispatch path, so
+//     every call is traced, fault-injectable and labelled the same way.
 //
 // Functionally everything is synchronous and in-process; timing flows
 // through src/net (LAN segments) and the server's CPU/disk resources, so
@@ -86,9 +91,9 @@ struct RpcConfig {
   FaultConfig fault;
 };
 
-// Per-call server-side context handed to the service implementation. The
-// handler reports the resources its work consumes; the endpoint serializes
-// those demands through the server's CPU and disk.
+// Per-call server-side context handed to the op handler. The handler
+// reports the resources its work consumes; the endpoint serializes those
+// demands through the server's CPU and disk.
 class CallContext {
  public:
   CallContext(UserId user, NodeId client_node, SimTime arrival)
@@ -133,18 +138,6 @@ class CallContext {
   SimTime completion_floor_ = 0;
 };
 
-// A service implementation (the Vice file server, the protection server,
-// the remote-open baseline server) registered at a ServerEndpoint.
-class Service {
- public:
-  virtual ~Service() = default;
-
-  // Dispatches procedure `proc` with serialized arguments `request`.
-  // Application-level failures are encoded inside the reply; a non-OK
-  // Result here means the call itself could not be performed.
-  [[nodiscard]] virtual Result<Bytes> Dispatch(CallContext& ctx, uint32_t proc, const Bytes& request) = 0;
-};
-
 struct RpcStats {
   uint64_t calls = 0;
   uint64_t request_bytes = 0;
@@ -154,7 +147,7 @@ struct RpcStats {
 };
 
 // Server side of the RPC package: owns the server's simulated CPU and disk,
-// the per-connection session state, and the registered service.
+// the per-connection session state, and the registered service's OpRegistry.
 class ServerEndpoint {
  public:
   using KeyLookup = std::function<std::optional<crypto::Key>(UserId)>;
@@ -163,10 +156,8 @@ class ServerEndpoint {
                  RpcConfig config, KeyLookup key_lookup, uint64_t nonce_seed);
   ~ServerEndpoint();
 
-  // Legacy dispatch path: a monolithic Service. New services register a
-  // typed OpRegistry instead (set_registry); the registry wins when both are
-  // set.
-  void set_service(Service* service) { service_ = service; }
+  // The service's typed op table and handlers; every call dispatches through
+  // it. Must be set before the first call.
   void set_registry(const OpRegistry* registry) { registry_ = registry; }
   void set_config(RpcConfig config);
 
@@ -234,7 +225,6 @@ class ServerEndpoint {
   uint64_t nonce_seed_;
   bool online_ = true;
   ITC_OWNED_BY_SHARD uint64_t next_connection_id_ = 1;
-  Service* service_ = nullptr;
   const OpRegistry* registry_ = nullptr;
   sim::Resource cpu_;
   sim::Resource disk_;

@@ -741,12 +741,7 @@ Result<Bytes> ViceServer::HandleRemove(rpc::CallContext& ctx, rpc::Reader& r, bo
 
   // Identify the victim first so its callbacks can be broken.
   Fid victim = kNullFid;
-  if (auto data = vol->FetchData(*parent); data.ok()) {
-    if (auto entries = DeserializeDirectory(*data); entries.ok()) {
-      auto it = entries->find(*name);
-      if (it != entries->end()) victim = it->second.fid;
-    }
-  }
+  if (auto item = vol->LookupEntry(*parent, *name); item.ok()) victim = item->fid;
 
   if (CrashPointHit(rpc::CrashPoint::kBeforeLogAppend)) return Status::kUnavailable;
   const uint64_t lsn = LogIntention(
@@ -791,12 +786,7 @@ Result<Bytes> ViceServer::HandleRename(rpc::CallContext& ctx, rpc::Reader& r) {
   // If the rename overwrites an existing target, that file's cached copies
   // must be invalidated just as a Remove would invalidate them.
   Fid overwritten = kNullFid;
-  if (auto dst_data = vol->FetchData(*to_dir); dst_data.ok()) {
-    if (auto entries = DeserializeDirectory(*dst_data); entries.ok()) {
-      auto it = entries->find(*to_name);
-      if (it != entries->end()) overwritten = it->second.fid;
-    }
-  }
+  if (auto item = vol->LookupEntry(*to_dir, *to_name); item.ok()) overwritten = item->fid;
 
   if (CrashPointHit(rpc::CrashPoint::kBeforeLogAppend)) return Status::kUnavailable;
   const uint64_t lsn =
@@ -914,14 +904,10 @@ Bytes ViceServer::HandleResolvePath(rpc::CallContext& ctx, rpc::Reader& r) {
         s != Status::kOk) {
       return StatusReply(s);
     }
-    auto dir_data = vol->FetchData(cur);
-    if (!dir_data.ok()) return StatusReply(dir_data.status());
-    auto entries = DeserializeDirectory(*dir_data);
-    if (!entries.ok()) return StatusReply(Status::kInternal);
-    auto it = entries->find(comp);
-    if (it == entries->end()) return StatusReply(Status::kNotFound);
+    auto entry = vol->LookupEntry(cur, comp);
+    if (!entry.ok()) return StatusReply(entry.status());
 
-    const DirItem& item = it->second;
+    const DirItem& item = *entry;
     ++index;
     if (item.kind == DirItem::Kind::kMountPoint) {
       Volume* next = FindVolume(item.mount_volume);

@@ -16,6 +16,15 @@ Bytes SerializeDirectory(const DirMap& entries) {
   return w.Take();
 }
 
+uint64_t DirectoryDataSize(const DirMap& entries) {
+  // u32 count, then per entry: string name, u8 kind, fid, u32 mount volume.
+  uint64_t size = 4;
+  for (const auto& [name, item] : entries) {
+    size += rpc::kStringMinWireBytes + name.size() + 1 + rpc::kFidWireBytes + 4;
+  }
+  return size;
+}
+
 Result<DirMap> DeserializeDirectory(const Bytes& data) {
   rpc::Reader r(data);
   DirMap out;

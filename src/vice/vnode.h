@@ -61,6 +61,9 @@ using DirMap = std::map<std::string, DirItem>;
 
 // Directory data encoding shared by Vice (producer) and Venus (consumer).
 Bytes SerializeDirectory(const DirMap& entries);
+// SerializeDirectory(entries).size(), computed without encoding: a
+// directory's status length and a volume's dump size are counted from it.
+uint64_t DirectoryDataSize(const DirMap& entries);
 [[nodiscard]] Result<DirMap> DeserializeDirectory(const Bytes& data);
 
 // Root vnode convention: every volume's root directory is vnode 1,

@@ -34,6 +34,14 @@ Result<const Volume::Vnode*> Volume::Lookup(const Fid& fid) const {
   return &it->second;
 }
 
+Result<DirItem> Volume::LookupEntry(const Fid& dir, const std::string& name) const {
+  ASSIGN_OR_RETURN(const Vnode* d, Lookup(dir));
+  if (d->status.type != VnodeType::kDirectory) return Status::kNotDirectory;
+  auto it = d->entries.find(name);
+  if (it == d->entries.end()) return Status::kNotFound;
+  return it->second;
+}
+
 Result<Volume::Vnode*> Volume::LookupMutable(const Fid& fid) {
   ASSIGN_OR_RETURN(const Vnode* v, Lookup(fid));
   return const_cast<Vnode*>(v);
@@ -47,16 +55,10 @@ Result<Volume::Vnode*> Volume::LookupDirMutable(const Fid& fid) {
 
 Fid Volume::NewFid() { return Fid{id_, next_vnode_++, next_uniquifier_++}; }
 
-uint64_t Volume::DirDataSize(const DirMap& entries) {
-  uint64_t size = 4;
-  for (const auto& [name, item] : entries) size += 4 + name.size() + 1 + 12 + 4;
-  return size;
-}
-
 void Volume::TouchDir(Vnode& dir) {
   dir.status.version += 1;
   dir.status.mtime = now_;
-  dir.status.length = DirDataSize(dir.entries);
+  dir.status.length = DirectoryDataSize(dir.entries);
 }
 
 Status Volume::ChargeQuota(int64_t delta) {
@@ -407,7 +409,7 @@ uint64_t Volume::DumpSize() const {
     PutVnodeStatus(w, v.status);
     w.PutBool(v.status.type != VnodeType::kDirectory);
     if (v.status.type != VnodeType::kDirectory) data_bytes += 4 + v.data.size();
-    data_bytes += 4 + SerializeDirectory(v.entries).size();
+    data_bytes += 4 + DirectoryDataSize(v.entries);
     data_bytes += 4 + v.acl.Serialize().size();
   }
   return w.size() + data_bytes;
@@ -524,7 +526,7 @@ Volume::SalvageReport Volume::Salvage() {
   uint64_t usage = 0;
   for (auto& [num, v] : vnodes_) {
     usage += kPerVnodeOverhead + v.data.size();
-    if (v.status.type == VnodeType::kDirectory) v.status.length = DirDataSize(v.entries);
+    if (v.status.type == VnodeType::kDirectory) v.status.length = DirectoryDataSize(v.entries);
   }
   report.usage_corrected_bytes =
       usage > usage_bytes_ ? usage - usage_bytes_ : usage_bytes_ - usage;

@@ -76,6 +76,10 @@ class Volume {
   // Fails with kVolumeOffline when offline, kStaleFid when the fid's vnode
   // slot is gone or its uniquifier does not match (deleted & never reused).
   [[nodiscard]] Result<const Vnode*> Lookup(const Fid& fid) const;
+  // The entry `name` in directory `dir`, read from its DirMap: kNotDirectory
+  // when `dir` is not a directory, kNotFound when it has no such entry, else
+  // Lookup's errors.
+  [[nodiscard]] Result<DirItem> LookupEntry(const Fid& dir, const std::string& name) const;
 
   // --- Directory operations ---------------------------------------------------
   [[nodiscard]] Result<Fid> CreateFile(const Fid& dir, const std::string& name, UserId owner,
@@ -170,7 +174,6 @@ class Volume {
   void TouchDir(Vnode& dir);
   // Charges (new - old) bytes against quota; kQuotaExceeded if over.
   [[nodiscard]] Status ChargeQuota(int64_t delta);
-  static uint64_t DirDataSize(const DirMap& entries);
 
   VolumeId id_;
   std::string name_;

@@ -4,81 +4,106 @@
 
 namespace itc::virtue {
 
-namespace {
-
-}  // namespace
+const rpc::OpSchema& SurrogateOpSchema() {
+  using P = SurrogateProc;
+  constexpr rpc::CallClass kS = rpc::CallClass::kStatus;
+  constexpr rpc::CallClass kF = rpc::CallClass::kFetch;
+  constexpr rpc::CallClass kW = rpc::CallClass::kStore;
+  constexpr rpc::CallClass kO = rpc::CallClass::kOther;
+  auto op = [](P p) { return static_cast<uint32_t>(p); };
+  static const rpc::OpSchema schema(
+      "surrogate",
+      {
+          {op(P::kReadFile), "ReadFile", kF, /*idempotent=*/true, 0, "`string path`",
+           "`bytes data`"},
+          {op(P::kWriteFile), "WriteFile", kW, false, 0, "`string path, bytes data`", "—"},
+          {op(P::kStat), "Stat", kS, true, 0, "`string path`",
+           "`u64 size, bool is_directory, bool shared`"},
+          {op(P::kMkDir), "MkDir", kO, false, 0, "`string path`", "—"},
+          {op(P::kUnlink), "Unlink", kO, false, 0, "`string path`", "—"},
+          {op(P::kReadDir), "ReadDir", kO, true, 0, "`string path`",
+           "`u32 n, string name...`"},
+      });
+  return schema;
+}
 
 SurrogateServer::SurrogateServer(Workstation* host, net::Network* network,
                                  const sim::CostModel& cost, rpc::RpcConfig rpc_config,
                                  rpc::ServerEndpoint::KeyLookup key_lookup,
                                  uint64_t nonce_seed)
     : host_(host),
+      registry_(&SurrogateOpSchema()),
       endpoint_(host->node(), network, cost, rpc_config, std::move(key_lookup),
                 nonce_seed) {
-  endpoint_.set_service(this);
+  BindOps();
+  endpoint_.set_registry(&registry_);
 }
 
-Result<Bytes> SurrogateServer::Dispatch(rpc::CallContext& ctx, uint32_t proc_raw,
-                                        const Bytes& request) {
+void SurrogateServer::BindOps() {
   // The surrogate executes every operation through the HOST's Vice session.
   // Serving a differently-authenticated PC user would let that user act
-  // with the host user's rights; refuse anyone but the session owner.
-  if (ctx.user() != host_->venus().user()) {
-    return rpc::StatusOnlyReply(Status::kPermissionDenied);
-  }
-  rpc::Reader r(request);
-  switch (static_cast<SurrogateProc>(proc_raw)) {
-    case SurrogateProc::kReadFile: {
-      auto path = r.String();
-      if (!path.ok()) return rpc::StatusOnlyReply(Status::kProtocolError);
-      auto data = host_->ReadWholeFile(*path);
-      if (!data.ok()) return rpc::StatusOnlyReply(data.status());
-      rpc::Writer w;
-      w.PutStatus(Status::kOk);
-      w.PutBytes(*data);
-      return w.Take();
-    }
-    case SurrogateProc::kWriteFile: {
-      auto path = r.String();
-      auto data = path.ok() ? r.BytesField() : Result<Bytes>(Status::kProtocolError);
-      if (!data.ok()) return rpc::StatusOnlyReply(Status::kProtocolError);
-      return rpc::StatusOnlyReply(host_->WriteWholeFile(*path, *data));
-    }
-    case SurrogateProc::kStat: {
-      auto path = r.String();
-      if (!path.ok()) return rpc::StatusOnlyReply(Status::kProtocolError);
-      auto info = host_->Stat(*path);
-      if (!info.ok()) return rpc::StatusOnlyReply(info.status());
-      rpc::Writer w;
-      w.PutStatus(Status::kOk);
-      w.PutU64(info->size);
-      w.PutBool(info->type == FileInfo::Type::kDirectory);
-      w.PutBool(info->shared);
-      return w.Take();
-    }
-    case SurrogateProc::kMkDir: {
-      auto path = r.String();
-      if (!path.ok()) return rpc::StatusOnlyReply(Status::kProtocolError);
-      return rpc::StatusOnlyReply(host_->MkDir(*path));
-    }
-    case SurrogateProc::kUnlink: {
-      auto path = r.String();
-      if (!path.ok()) return rpc::StatusOnlyReply(Status::kProtocolError);
-      return rpc::StatusOnlyReply(host_->Unlink(*path));
-    }
-    case SurrogateProc::kReadDir: {
-      auto path = r.String();
-      if (!path.ok()) return rpc::StatusOnlyReply(Status::kProtocolError);
-      auto names = host_->ReadDir(*path);
-      if (!names.ok()) return rpc::StatusOnlyReply(names.status());
-      rpc::Writer w;
-      w.PutStatus(Status::kOk);
-      w.PutU32(static_cast<uint32_t>(names->size()));
-      for (const auto& name : *names) w.PutString(name);
-      return w.Take();
-    }
-  }
-  return Status::kProtocolError;
+  // with the host user's rights; every op refuses anyone but the session
+  // owner before it reads its request.
+  auto bind = [this](SurrogateProc proc, auto handler) {
+    registry_.Bind(static_cast<uint32_t>(proc),
+                   [this, handler](rpc::CallContext& ctx,
+                                   const Bytes& request) -> Result<Bytes> {
+                     if (ctx.user() != host_->venus().user()) {
+                       return rpc::StatusOnlyReply(Status::kPermissionDenied);
+                     }
+                     rpc::Reader r(request);
+                     return handler(r);
+                   });
+  };
+  bind(SurrogateProc::kReadFile, [this](rpc::Reader& r) {
+    auto path = r.String();
+    if (!path.ok()) return rpc::StatusOnlyReply(Status::kProtocolError);
+    auto data = host_->ReadWholeFile(*path);
+    if (!data.ok()) return rpc::StatusOnlyReply(data.status());
+    rpc::Writer w;
+    w.PutStatus(Status::kOk);
+    w.PutBytes(*data);
+    return w.Take();
+  });
+  bind(SurrogateProc::kWriteFile, [this](rpc::Reader& r) {
+    auto path = r.String();
+    auto data = path.ok() ? r.BytesField() : Result<Bytes>(Status::kProtocolError);
+    if (!data.ok()) return rpc::StatusOnlyReply(Status::kProtocolError);
+    return rpc::StatusOnlyReply(host_->WriteWholeFile(*path, *data));
+  });
+  bind(SurrogateProc::kStat, [this](rpc::Reader& r) {
+    auto path = r.String();
+    if (!path.ok()) return rpc::StatusOnlyReply(Status::kProtocolError);
+    auto info = host_->Stat(*path);
+    if (!info.ok()) return rpc::StatusOnlyReply(info.status());
+    rpc::Writer w;
+    w.PutStatus(Status::kOk);
+    w.PutU64(info->size);
+    w.PutBool(info->type == FileInfo::Type::kDirectory);
+    w.PutBool(info->shared);
+    return w.Take();
+  });
+  bind(SurrogateProc::kMkDir, [this](rpc::Reader& r) {
+    auto path = r.String();
+    if (!path.ok()) return rpc::StatusOnlyReply(Status::kProtocolError);
+    return rpc::StatusOnlyReply(host_->MkDir(*path));
+  });
+  bind(SurrogateProc::kUnlink, [this](rpc::Reader& r) {
+    auto path = r.String();
+    if (!path.ok()) return rpc::StatusOnlyReply(Status::kProtocolError);
+    return rpc::StatusOnlyReply(host_->Unlink(*path));
+  });
+  bind(SurrogateProc::kReadDir, [this](rpc::Reader& r) {
+    auto path = r.String();
+    if (!path.ok()) return rpc::StatusOnlyReply(Status::kProtocolError);
+    auto names = host_->ReadDir(*path);
+    if (!names.ok()) return rpc::StatusOnlyReply(names.status());
+    rpc::Writer w;
+    w.PutStatus(Status::kOk);
+    w.PutU32(static_cast<uint32_t>(names->size()));
+    for (const auto& name : *names) w.PutString(name);
+    return w.Take();
+  });
 }
 
 PcClient::PcClient(NodeId node, sim::Clock* clock, SurrogateServer* surrogate,

@@ -26,21 +26,26 @@
 #include <string>
 #include <vector>
 
+#include "src/rpc/op_registry.h"
 #include "src/rpc/rpc.h"
 #include "src/virtue/workstation.h"
 
 namespace itc::virtue {
 
 enum class SurrogateProc : uint32_t {
-  kReadFile = 1,   // path -> bytes
-  kWriteFile = 2,  // path, bytes
-  kStat = 3,       // path -> FileInfo fields
+  kReadFile = 1,
+  kWriteFile = 2,
+  kStat = 3,
   kMkDir = 4,
   kUnlink = 5,
-  kReadDir = 6,    // path -> names
+  kReadDir = 6,
 };
 
-class SurrogateServer : public rpc::Service {
+// The surrogate's typed op table, wire formats included. Only the pure reads
+// (ReadFile, Stat, ReadDir) are idempotent.
+const rpc::OpSchema& SurrogateOpSchema();
+
+class SurrogateServer {
  public:
   // The surrogate listens at the host workstation's own node. The host must
   // be logged in to Vice for shared paths to work; local paths always work.
@@ -51,10 +56,11 @@ class SurrogateServer : public rpc::Service {
   rpc::ServerEndpoint& endpoint() { return endpoint_; }
   Workstation* host() { return host_; }
 
-  [[nodiscard]] Result<Bytes> Dispatch(rpc::CallContext& ctx, uint32_t proc, const Bytes& request) override;
-
  private:
+  void BindOps();
+
   Workstation* host_;
+  rpc::OpRegistry registry_;
   rpc::ServerEndpoint endpoint_;
 };
 

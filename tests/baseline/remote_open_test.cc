@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
 #include "src/rpc/interceptor.h"
 
 namespace itc::baseline {
@@ -52,6 +53,13 @@ TEST_F(RemoteOpenTest, EveryPageIsAnRpc) {
   ASSERT_TRUE(client_.ReadWholeFile("/f").ok());
   // Stat + open + 10 page reads + close = 13 calls.
   EXPECT_EQ(server_.endpoint().stats().calls - calls_before, 13u);
+  // Each page read is traced under its schema name and call class.
+  const rpc::OpStats* reads =
+      server_.endpoint().call_stats().Find(static_cast<uint32_t>(Proc::kRead));
+  ASSERT_NE(reads, nullptr);
+  EXPECT_EQ(reads->name, "Read");
+  EXPECT_EQ(reads->call_class, rpc::CallClass::kFetch);
+  EXPECT_EQ(reads->calls, 10u);
 }
 
 TEST_F(RemoteOpenTest, SparseReadTouchesOnePage) {
@@ -83,6 +91,22 @@ TEST_F(RemoteOpenTest, MissingFileAndBadHandle) {
   EXPECT_EQ(client_.Open("/nope", false).status(), Status::kNotFound);
   EXPECT_EQ(client_.Read(999, 0, 10).status(), Status::kBadDescriptor);
   EXPECT_EQ(client_.Close(999), Status::kBadDescriptor);
+  // The rejected calls are counted as errors, not as successes.
+  EXPECT_EQ(server_.endpoint().call_stats().total_errors(), 3u);
+}
+
+TEST_F(RemoteOpenTest, FaultInjectionTargetsOneCallClass) {
+  ASSERT_EQ(client_.WriteWholeFile("/f", ToBytes("data")), Status::kOk);
+  rpc::RpcConfig config;
+  config.fault.error_probability = 1;
+  config.fault.only_class = rpc::CallClass::kFetch;
+  server_.endpoint().set_config(config);
+  // Page reads are fetches and fail; stat, open and close are not.
+  EXPECT_TRUE(client_.Stat("/f").ok());
+  auto h = client_.Open("/f", false);
+  ASSERT_TRUE(h.ok());
+  EXPECT_EQ(client_.Read(*h, 0, 4).status(), Status::kUnavailable);
+  EXPECT_EQ(client_.Close(*h), Status::kOk);
 }
 
 TEST_F(RemoteOpenTest, HandlesAreReleasedOnClose) {
@@ -170,6 +194,35 @@ TEST_F(RemoteOpenTest, TruncateShrinksOpenFile) {
   EXPECT_EQ(client_.Stat("/f")->size, 0u);
   EXPECT_EQ(client_.Truncate(999, 0), Status::kBadDescriptor);
 }
+
+// Random procedures and bytes from an authenticated client must never crash
+// the remote-open server or touch a file they do not name: the same hostile
+// treatment the Vice dispatcher gets in fuzz_dispatch_test.
+class RemoteOpenFuzzTest : public RemoteOpenTest,
+                           public ::testing::WithParamInterface<uint64_t> {};
+
+TEST_P(RemoteOpenFuzzTest, RandomBytesNeverCrashOrCorrupt) {
+  ASSERT_EQ(client_.WriteWholeFile("/canary", ToBytes("alive")), Status::kOk);
+  sim::Clock fuzz_clock;
+  auto conn = rpc::ClientConnection::Connect(topo_.WorkstationNode(0, 1), kUser, key_,
+                                             &server_.endpoint(), &network_, cost_,
+                                             &fuzz_clock, 555);
+  ASSERT_TRUE(conn.ok());
+  Rng rng(GetParam() * 2654435761u);
+
+  for (int i = 0; i < 400; ++i) {
+    const uint32_t proc = static_cast<uint32_t>(rng.Below(80));
+    Bytes payload(rng.Below(200));
+    for (auto& b : payload) b = static_cast<uint8_t>(rng.NextU64());
+    (void)(*conn)->Call(proc, payload);
+  }
+
+  auto canary = client_.ReadWholeFile("/canary");
+  ASSERT_TRUE(canary.ok());
+  EXPECT_EQ(ToString(*canary), "alive");
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RemoteOpenFuzzTest, ::testing::Values(1, 2, 3, 4));
 
 }  // namespace
 }  // namespace itc::baseline

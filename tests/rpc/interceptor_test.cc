@@ -213,13 +213,23 @@ TEST_F(InterceptorCampusTest, FailAllBlocksHandshake) {
 
 // --- Deadline ---------------------------------------------------------------
 
-// Slow echo: proc 2 charges 500ms of server CPU.
-class SlowEchoService : public Service {
- public:
-  Result<Bytes> Dispatch(CallContext& ctx, uint32_t proc, const Bytes& request) override {
-    if (proc == 2) ctx.ChargeCpu(Millis(500));
-    return request;
+// Slow echo: procs 1-3 return the request; proc 2 charges 500ms of server
+// CPU.
+const OpSchema& SlowEchoSchema() {
+  static const OpSchema schema("slow-echo", {{1, "Echo"}, {2, "SlowEcho"}, {3, "Echo3"}});
+  return schema;
+}
+
+struct SlowEchoService {
+  SlowEchoService() {
+    for (uint32_t proc : {1u, 2u, 3u}) {
+      registry.Bind(proc, [proc](CallContext& ctx, const Bytes& request) -> Result<Bytes> {
+        if (proc == 2) ctx.ChargeCpu(Millis(500));
+        return request;
+      });
+    }
   }
+  OpRegistry registry{&SlowEchoSchema()};
 };
 
 TEST(DeadlineTest, SlowCallTimesOut) {
@@ -237,7 +247,7 @@ TEST(DeadlineTest, SlowCallTimesOut) {
   ServerEndpoint server(
       topo.ServerNode(0, 0), &network, cost, config,
       [&key](UserId) -> std::optional<crypto::Key> { return key; }, 999);
-  server.set_service(&service);
+  server.set_registry(&service.registry);
 
   sim::Clock clock;
   auto conn = ClientConnection::Connect(topo.WorkstationNode(0, 0), 7, key, &server,
@@ -260,7 +270,7 @@ TEST(FailCallsTest, SkipsThenFailsExactlyCountCalls) {
   ServerEndpoint server(
       topo.ServerNode(0, 0), &network, cost, RpcConfig{},
       [&key](UserId) -> std::optional<crypto::Key> { return key; }, 999);
-  server.set_service(&service);
+  server.set_registry(&service.registry);
 
   sim::Clock clock;
   auto conn = ClientConnection::Connect(topo.WorkstationNode(0, 0), 7, key, &server,

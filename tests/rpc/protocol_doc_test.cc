@@ -9,9 +9,11 @@
 #include <sstream>
 #include <string>
 
+#include "src/baseline/remote_open.h"
 #include "src/protection/protection_rpc.h"
 #include "src/rpc/op_registry.h"
 #include "src/vice/protocol.h"
+#include "src/virtue/surrogate.h"
 
 namespace itc {
 namespace {
@@ -51,6 +53,22 @@ TEST(ProtocolDocTest, ProtectionOpTableMatchesSchema) {
   const std::string actual = ExtractBlock(ReadProtocolDoc(), "protection-op-table");
   EXPECT_EQ(actual, expected)
       << "docs/PROTOCOL.md protection-op-table is stale; regenerate it with:\n"
+      << expected;
+}
+
+TEST(ProtocolDocTest, RemoteOpenOpTableMatchesSchema) {
+  const std::string expected = rpc::RenderOpTable(baseline::RemoteOpenOpSchema());
+  const std::string actual = ExtractBlock(ReadProtocolDoc(), "remote-open-op-table");
+  EXPECT_EQ(actual, expected)
+      << "docs/PROTOCOL.md remote-open-op-table is stale; regenerate it with:\n"
+      << expected;
+}
+
+TEST(ProtocolDocTest, SurrogateOpTableMatchesSchema) {
+  const std::string expected = rpc::RenderOpTable(virtue::SurrogateOpSchema());
+  const std::string actual = ExtractBlock(ReadProtocolDoc(), "surrogate-op-table");
+  EXPECT_EQ(actual, expected)
+      << "docs/PROTOCOL.md surrogate-op-table is stale; regenerate it with:\n"
       << expected;
 }
 

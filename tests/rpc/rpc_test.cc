@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/crypto/cbc.h"
+#include "src/rpc/op_registry.h"
 #include "src/rpc/wire.h"
 
 namespace itc::rpc {
@@ -89,16 +90,30 @@ TEST(WireTest, CountBoundedByRemainingBytes) {
 
 // --- End-to-end RPC -----------------------------------------------------------
 
-// Echo service: returns the request, optionally charging resources.
-class EchoService : public Service {
- public:
-  Result<Bytes> Dispatch(CallContext& ctx, uint32_t proc, const Bytes& request) override {
-    last_user = ctx.user();
-    last_proc = proc;
-    if (proc == 2) ctx.ChargeCpu(Millis(100));
-    if (proc == 3) ctx.ChargeDisk(64 * 1024);
-    return request;
+// Echo service: returns the request, optionally charging resources (proc 2
+// CPU, proc 3 disk).
+const OpSchema& EchoSchema() {
+  static const OpSchema schema("echo", {{1, "Echo"}, {2, "EchoCpu"}, {3, "EchoDisk"}});
+  return schema;
+}
+
+struct EchoService {
+  EchoService() {
+    for (uint32_t proc : {1u, 2u, 3u}) {
+      registry.Bind(proc, [this, proc](CallContext& ctx, const Bytes& request) -> Result<Bytes> {
+        last_user = ctx.user();
+        last_proc = proc;
+        if (proc == 2) ctx.ChargeCpu(Millis(100));
+        if (proc == 3) ctx.ChargeDisk(64 * 1024);
+        return request;
+      });
+    }
   }
+  // The handlers capture `this`.
+  EchoService(const EchoService&) = delete;
+  EchoService& operator=(const EchoService&) = delete;
+
+  OpRegistry registry{&EchoSchema()};
   UserId last_user = kAnonymousUser;
   uint32_t last_proc = 0;
 };
@@ -120,7 +135,7 @@ class RpcTest : public ::testing::Test {
     };
     auto server = std::make_unique<ServerEndpoint>(topo_.ServerNode(0, 0), &network_,
                                                    cost_, config, lookup, 999);
-    server->set_service(&service_);
+    server->set_registry(&service_.registry);
     return server;
   }
 

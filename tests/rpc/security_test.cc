@@ -4,20 +4,33 @@
 #include <gtest/gtest.h>
 
 #include "src/crypto/cbc.h"
+#include "src/rpc/op_registry.h"
 #include "src/rpc/rpc.h"
 #include "src/rpc/wire.h"
 
 namespace itc::rpc {
 namespace {
 
-class EchoService : public Service {
- public:
-  Result<Bytes> Dispatch(CallContext& ctx, uint32_t proc, const Bytes& request) override {
-    (void)ctx;
-    (void)proc;
-    ++calls;
-    return request;
+// Echo service: procs 1-3 return the request and count the call.
+const OpSchema& EchoSchema() {
+  static const OpSchema schema("echo", {{1, "Echo1"}, {2, "Echo2"}, {3, "Echo3"}});
+  return schema;
+}
+
+struct EchoService {
+  EchoService() {
+    for (uint32_t proc : {1u, 2u, 3u}) {
+      registry.Bind(proc, [this](CallContext&, const Bytes& request) -> Result<Bytes> {
+        ++calls;
+        return request;
+      });
+    }
   }
+  // The handlers capture `this`.
+  EchoService(const EchoService&) = delete;
+  EchoService& operator=(const EchoService&) = delete;
+
+  OpRegistry registry{&EchoSchema()};
   int calls = 0;
 };
 
@@ -36,7 +49,7 @@ class SecurityTest : public ::testing::Test {
                   return std::nullopt;
                 },
                 42) {
-    server_.set_service(&service_);
+    server_.set_registry(&service_.registry);
   }
 
   net::Topology topo_;

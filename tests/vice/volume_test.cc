@@ -76,6 +76,35 @@ TEST_F(VolumeTest, DirectoryDataIsInterpretable) {
   EXPECT_EQ(entries->at("m").mount_volume, 99u);
 }
 
+TEST_F(VolumeTest, DirectorySizeMatchesSerializedData) {
+  // The status length of a directory is the size of its wire data.
+  ASSERT_TRUE(vol_.CreateFile(vol_.root(), "a", kOwner, 0644).ok());
+  ASSERT_EQ(vol_.MakeMountPoint(vol_.root(), "a-longer-mount-name", 99), Status::kOk);
+  const Bytes data = *vol_.FetchData(vol_.root());
+  EXPECT_EQ(vol_.GetStatus(vol_.root())->length, data.size());
+  EXPECT_EQ(DirectoryDataSize(*DeserializeDirectory(data)), data.size());
+  EXPECT_EQ(DirectoryDataSize(DirMap{}), SerializeDirectory(DirMap{}).size());
+}
+
+TEST_F(VolumeTest, LookupEntryReadsTheDirectory) {
+  auto file = *vol_.CreateFile(vol_.root(), "f", kOwner, 0644);
+  ASSERT_EQ(vol_.MakeMountPoint(vol_.root(), "m", 99), Status::kOk);
+
+  auto item = vol_.LookupEntry(vol_.root(), "f");
+  ASSERT_TRUE(item.ok());
+  EXPECT_EQ(item->kind, DirItem::Kind::kFile);
+  EXPECT_EQ(item->fid, file);
+  EXPECT_EQ(vol_.LookupEntry(vol_.root(), "m")->mount_volume, 99u);
+
+  EXPECT_EQ(vol_.LookupEntry(vol_.root(), "nope").status(), Status::kNotFound);
+  EXPECT_EQ(vol_.LookupEntry(file, "f").status(), Status::kNotDirectory);
+  Fid stale = file;
+  stale.uniquifier += 1;
+  EXPECT_EQ(vol_.LookupEntry(stale, "f").status(), Status::kStaleFid);
+  vol_.set_online(false);
+  EXPECT_EQ(vol_.LookupEntry(vol_.root(), "f").status(), Status::kVolumeOffline);
+}
+
 TEST_F(VolumeTest, StaleFidAfterRemove) {
   auto fid = *vol_.CreateFile(vol_.root(), "f", kOwner, 0644);
   ASSERT_EQ(vol_.RemoveFile(vol_.root(), "f"), Status::kOk);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "src/campus/campus.h"
+#include "src/common/rng.h"
 
 namespace itc::virtue {
 namespace {
@@ -128,6 +129,11 @@ TEST_F(SurrogateTest, DifferentUserCannotBorrowHostSession) {
             Status::kPermissionDenied);  // ...acting as the host is not
   EXPECT_EQ(impostor.ReadFile("/vice/usr/pcuser/memo.txt").status(),
             Status::kPermissionDenied);
+  // The refusal is traced like any application error.
+  const rpc::OpStats* writes = surrogate->endpoint().call_stats().Find(
+      static_cast<uint32_t>(SurrogateProc::kWriteFile));
+  ASSERT_NE(writes, nullptr);
+  EXPECT_EQ(writes->error_codes.at(Status::kPermissionDenied), 1u);
 
   // The rightful owner still works through the same surrogate.
   PcClient owner(campus_->topology().WorkstationNode(0, 1), &clock, surrogate.get(),
@@ -148,6 +154,36 @@ TEST_F(SurrogateTest, ProtectionStillEnforcedByVice) {
   EXPECT_EQ(pc_->WriteFile("/vice/unix/hack", ToBytes("nope")),
             Status::kPermissionDenied);
 }
+
+// Random procedures and bytes from the authenticated PC must never crash the
+// surrogate or corrupt the files it serves: the same hostile treatment the
+// Vice dispatcher gets in fuzz_dispatch_test.
+class SurrogateFuzzTest : public SurrogateTest,
+                          public ::testing::WithParamInterface<uint64_t> {};
+
+TEST_P(SurrogateFuzzTest, RandomBytesNeverCrashOrCorrupt) {
+  ASSERT_EQ(pc_->WriteFile("/vice/usr/pcuser/canary", ToBytes("alive")), Status::kOk);
+  sim::Clock fuzz_clock;
+  auto conn = rpc::ClientConnection::Connect(campus_->topology().WorkstationNode(0, 1),
+                                             user_, key_, &surrogate_->endpoint(),
+                                             &campus_->network(), campus_->config().cost,
+                                             &fuzz_clock, 555);
+  ASSERT_TRUE(conn.ok());
+  Rng rng(GetParam() * 2654435761u);
+
+  for (int i = 0; i < 400; ++i) {
+    const uint32_t proc = static_cast<uint32_t>(rng.Below(80));
+    Bytes payload(rng.Below(200));
+    for (auto& b : payload) b = static_cast<uint8_t>(rng.NextU64());
+    (void)(*conn)->Call(proc, payload);
+  }
+
+  auto canary = pc_->ReadFile("/vice/usr/pcuser/canary");
+  ASSERT_TRUE(canary.ok());
+  EXPECT_EQ(ToString(*canary), "alive");
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SurrogateFuzzTest, ::testing::Values(1, 2, 3, 4));
 
 }  // namespace
 }  // namespace itc::virtue

@@ -329,9 +329,9 @@ void CheckIntentionBeforeMutate(const LexedFile& f, std::vector<Diagnostic>& out
 
 struct OpService {
   std::string header;     // file declaring the enum
-  std::string enum_name;  // Proc / ProtectionProc
+  std::string enum_name;  // Proc / ProtectionProc / SurrogateProc
   std::string source;     // file defining the OpSchema
-  std::string md_marker;  // vice-op-table / protection-op-table
+  std::string md_marker;  // vice-op-table / protection-op-table / ...
 };
 
 const LexedFile* FindFile(const LintInput& in, const std::string& path) {
@@ -427,6 +427,10 @@ void CheckOpcodeSync(const LintInput& in, std::vector<Diagnostic>& out) {
       {"src/vice/protocol.h", "Proc", "src/vice/protocol.cc", "vice-op-table"},
       {"src/protection/protection_rpc.h", "ProtectionProc",
        "src/protection/protection_rpc.cc", "protection-op-table"},
+      {"src/baseline/remote_open.h", "Proc", "src/baseline/remote_open.cc",
+       "remote-open-op-table"},
+      {"src/virtue/surrogate.h", "SurrogateProc", "src/virtue/surrogate.cc",
+       "surrogate-op-table"},
   };
   for (const OpService& svc : kServices) {
     const LexedFile* header = FindFile(in, svc.header);
