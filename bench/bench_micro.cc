@@ -3,13 +3,15 @@
 // Host-CPU cost of the primitives the system is built from: the block
 // cipher and sealed envelope, the authentication handshake, wire
 // serialization, CPS computation over deep group structures, path
-// resolution in the local file system, directory serialization, cache
-// lookups, and a full warm open through Venus. These measure the
-// implementation itself (real microseconds, not the 1985 cost model).
+// resolution in the local file system, directory serialization, one path
+// hop in a directory's wire bytes, canonicalizing file contents on a cache
+// install, cache lookups, and a full warm open through Venus. These measure
+// the implementation itself (real microseconds, not the 1985 cost model).
 
 #include <benchmark/benchmark.h>
 
 #include "src/campus/campus.h"
+#include "src/common/content.h"
 #include "src/crypto/cbc.h"
 #include "src/crypto/handshake.h"
 #include "src/crypto/xtea.h"
@@ -145,6 +147,42 @@ void BM_DirectorySerialize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DirectorySerialize)->Arg(16)->Arg(256);
+
+// One path hop as Venus takes it (FindDirectoryEntry over the cached bytes)
+// against parsing the whole directory into a DirMap and finding the name.
+void BM_DirectoryLookup(benchmark::State& state) {
+  vice::DirMap entries;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    entries["entry" + std::to_string(i)] =
+        vice::DirItem{vice::DirItem::Kind::kMountPoint, kNullFid, static_cast<VolumeId>(i + 2)};
+  }
+  const Bytes data = vice::SerializeDirectory(entries);
+  const std::string name = "entry" + std::to_string(state.range(0) / 2);
+  const bool full_parse = state.range(1) != 0;
+  for (auto _ : state) {
+    if (full_parse) {
+      auto parsed = vice::DeserializeDirectory(data);
+      benchmark::DoNotOptimize(parsed->find(name)->second);
+    } else {
+      auto found = vice::FindDirectoryEntry(data, name);
+      benchmark::DoNotOptimize(found);
+    }
+  }
+}
+BENCHMARK(BM_DirectoryLookup)
+    ->ArgNames({"entries", "full_parse"})
+    ->ArgsProduct({{16, 256, 1024}, {0, 1}});
+
+// Canonicalizing generative bytes, as every Venus cache install does.
+void BM_Canonicalize(benchmark::State& state) {
+  const Bytes data = content::Synthesize(17, 0, static_cast<uint64_t>(state.range(0)));
+  for (auto _ : state) {
+    content::Ref ref = content::Ref::Canonicalize(Bytes(data));
+    benchmark::DoNotOptimize(ref);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_Canonicalize)->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20);
 
 void BM_ZipfSample(benchmark::State& state) {
   workload::ZipfSampler zipf(1000, 0.9);

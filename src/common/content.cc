@@ -26,14 +26,27 @@ const std::vector<std::vector<uint8_t>>& CandidatePhases() {
   return *table;
 }
 
+// The generative stream at phase 0, long enough that a chunk at any phase p
+// is the run starting at byte p.
+const uint8_t* AlphabetRun() {
+  static const Bytes* run = new Bytes(Synthesize(0, 0, kPeriod + kMatchChunk));
+  return run->data();
+}
+
 // Length of the longest prefix of [data, data+n) matching the generative
 // stream at `phase`.
 uint64_t MatchLength(const uint8_t* data, uint64_t n, uint64_t phase) {
+  const uint8_t* stream = AlphabetRun() + phase;
   uint64_t i = 0;
-  while (i < n && data[i] == static_cast<uint8_t>(kAlphabet[(i + phase) % kPeriod])) {
-    ++i;
+  while (i < n) {
+    const uint64_t len = std::min(kMatchChunk, n - i);
+    if (std::memcmp(data + i, stream, len) != 0) {
+      return i + static_cast<uint64_t>(std::mismatch(data + i, data + i + len, stream).first -
+                                        (data + i));
+    }
+    i += len;
   }
-  return i;
+  return n;
 }
 
 }  // namespace

@@ -56,6 +56,11 @@ inline constexpr uint64_t kPeriod = sizeof(kAlphabet) - 1;
 // representation.
 inline constexpr uint64_t kMinGenerativePrefix = kPeriod;
 
+// Canonicalize() phase-matches by memcmp against a precomputed run of the
+// stream, this many bytes at a time: a whole number of periods, so every
+// chunk of a match starts at the same phase.
+inline constexpr uint64_t kMatchChunk = 64 * kPeriod;
+
 // Writes the generative stream bytes [offset, offset+n) for `phase` into a
 // fresh buffer.
 Bytes Synthesize(uint64_t phase, uint64_t offset, uint64_t n);

@@ -64,7 +64,8 @@ Result<AccessList> AccessList::Deserialize(const Bytes& data) {
   rpc::Reader r(data);
   AccessList out;
   for (int side = 0; side < 2; ++side) {
-    ASSIGN_OR_RETURN(uint32_t count, r.U32());
+    // Each entry: u8 principal kind, u32 id, u32 rights.
+    ASSIGN_OR_RETURN(uint32_t count, r.Count(1 + 4 + 4));
     for (uint32_t i = 0; i < count; ++i) {
       ASSIGN_OR_RETURN(uint8_t kind, r.U8());
       if (kind > 1) return Status::kProtocolError;

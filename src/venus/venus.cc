@@ -358,15 +358,29 @@ Result<VnodeStatus> Venus::EnsureStatus(const Fid& fid) {
   return status;
 }
 
-Result<DirMap> Venus::DirEntriesOf(const Fid& dir) {
+Result<Bytes> Venus::DirDataOf(const Fid& dir) {
   bool hit = false;
   ASSIGN_OR_RETURN(CacheEntry * e, EnsureData(dir, &hit));
   if (e->status.type != vice::VnodeType::kDirectory) return Status::kNotDirectory;
   ASSIGN_OR_RETURN(Bytes data, cache_.ReadData(dir));
   clock_->Advance(cost_.LocalIoTime(data.size()));
+  return data;
+}
+
+// A cached directory that does not decode is a damaged local copy, not a
+// protocol peer's fault: both readers report it as kInternal.
+Result<DirMap> Venus::DirEntriesOf(const Fid& dir) {
+  ASSIGN_OR_RETURN(Bytes data, DirDataOf(dir));
   auto entries = vice::DeserializeDirectory(data);
   if (!entries.ok()) return Status::kInternal;
   return entries;
+}
+
+Result<std::optional<DirItem>> Venus::LookupIn(const Fid& dir, std::string_view name) {
+  ASSIGN_OR_RETURN(Bytes data, DirDataOf(dir));
+  auto item = vice::FindDirectoryEntry(data, name);
+  if (!item.ok()) return Status::kInternal;
+  return item;
 }
 
 void Venus::DropEvicted(const std::vector<Fid>& evicted) {
@@ -481,7 +495,7 @@ Result<Fid> Venus::WalkClient(const std::string& path, bool for_update, bool fol
   std::vector<Fid> crumbs;
 
   while (i < components.size()) {
-    const std::string comp = components[i];
+    const std::string& comp = components[i];
     if (comp == ".") {
       ++i;
       continue;
@@ -496,10 +510,9 @@ Result<Fid> Venus::WalkClient(const std::string& path, bool for_update, bool fol
       continue;
     }
 
-    ASSIGN_OR_RETURN(DirMap entries, DirEntriesOf(cur));
-    auto it = entries.find(comp);
-    if (it == entries.end()) return Status::kNotFound;
-    const DirItem item = it->second;
+    ASSIGN_OR_RETURN(std::optional<DirItem> found, LookupIn(cur, comp));
+    if (!found) return Status::kNotFound;
+    const DirItem item = *found;
     const bool is_final = (i + 1 == components.size());
     ++i;
 

@@ -229,7 +229,13 @@ class Venus : public vice::CallbackReceiver, private validation::ValidationHost 
   [[nodiscard]] Result<CacheEntry*> EnsureData(const Fid& fid, bool* hit);
   // Ensures valid cached status for `fid`.
   [[nodiscard]] Result<vice::VnodeStatus> EnsureStatus(const Fid& fid);
+  // A directory's cached bytes, fetched or validated as EnsureData does, with
+  // the local read charged. kNotDirectory if `dir` is not one.
+  [[nodiscard]] Result<Bytes> DirDataOf(const Fid& dir);
+  // The whole directory, for ReadDir.
   [[nodiscard]] Result<vice::DirMap> DirEntriesOf(const Fid& dir);
+  // One path hop: the entry for `name` in `dir`, nullopt if absent.
+  [[nodiscard]] Result<std::optional<vice::DirItem>> LookupIn(const Fid& dir, std::string_view name);
   void DropEvicted(const std::vector<Fid>& evicted);
   void InvalidateDir(const Fid& dir);
   // Stores the cached copy of `fid` to its custodian now.

@@ -131,7 +131,7 @@ Result<VolumeInfo> ReadVolumeInfo(rpc::Reader& r) {
   ASSIGN_OR_RETURN(info.ro_clone, r.U32());
   ASSIGN_OR_RETURN(info.read_only, r.Bool());
   ASSIGN_OR_RETURN(info.custodian, r.U32());
-  ASSIGN_OR_RETURN(uint32_t n, r.U32());
+  ASSIGN_OR_RETURN(uint32_t n, r.Count(4));  // u32 server ids
   for (uint32_t i = 0; i < n; ++i) {
     ASSIGN_OR_RETURN(ServerId s, r.U32());
     info.replica_sites.push_back(s);

@@ -101,6 +101,9 @@ CallClass ClassOf(Proc p);
 
 void PutVnodeStatus(rpc::Writer& w, const VnodeStatus& s);
 [[nodiscard]] Result<VnodeStatus> ReadVnodeStatus(rpc::Reader& r);
+// PutVnodeStatus's fixed size: two fids, the type byte, length, version and
+// mtime, then owner, mode and link count.
+inline constexpr size_t kVnodeStatusWireBytes = 2 * rpc::kFidWireBytes + 1 + 3 * 8 + 3 * 4;
 
 // Volume location info returned by kGetVolumeInfo.
 struct VolumeInfo {

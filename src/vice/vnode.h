@@ -17,7 +17,9 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "src/common/fid.h"
 #include "src/common/result.h"
@@ -64,7 +66,15 @@ Bytes SerializeDirectory(const DirMap& entries);
 // SerializeDirectory(entries).size(), computed without encoding: a
 // directory's status length and a volume's dump size are counted from it.
 uint64_t DirectoryDataSize(const DirMap& entries);
+// Both decoders share one walk over the wire bytes and fail with
+// kProtocolError on exactly the same inputs: anything but one well-formed
+// directory filling the whole buffer. When a name repeats, the first entry
+// wins.
 [[nodiscard]] Result<DirMap> DeserializeDirectory(const Bytes& data);
+// The entry for `name`, or nullopt if there is none — one path hop, without
+// building a DirMap. The whole buffer is still validated.
+[[nodiscard]] Result<std::optional<DirItem>> FindDirectoryEntry(const Bytes& data,
+                                                                std::string_view name);
 
 // Root vnode convention: every volume's root directory is vnode 1,
 // uniquifier 1.

@@ -429,7 +429,9 @@ Result<std::unique_ptr<Volume>> Volume::Restore(const Bytes& dump, VolumeId new_
   ASSIGN_OR_RETURN(uint64_t quota, r.U64());
   ASSIGN_OR_RETURN(uint32_t next_vnode, r.U32());
   ASSIGN_OR_RETURN(uint32_t next_uniq, r.U32());
-  ASSIGN_OR_RETURN(uint32_t count, r.U32());
+  // Each vnode: u32 number, status, has-data flag, then the directory and
+  // ACL byte strings' length prefixes.
+  ASSIGN_OR_RETURN(uint32_t count, r.Count(4 + kVnodeStatusWireBytes + 1 + 4 + 4));
 
   auto vol = std::make_unique<Volume>(new_id, new_name, type, kAnonymousUser,
                                       protection::AccessList{}, quota);

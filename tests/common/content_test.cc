@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/workload/source_tree.h"
@@ -49,6 +51,54 @@ TEST(ContentRef, CanonicalizeRecoversGenerativeRepresentation) {
   EXPECT_TRUE(round.SameContent(ref));
   std::unordered_set<const void*> seen;
   EXPECT_EQ(round.RetainedBytes(&seen), 0u);
+}
+
+// What Canonicalize computed before it matched in chunks: one byte at a
+// time, over every candidate phase in ascending order, longest match wins.
+struct Match {
+  uint64_t phase = 0;
+  uint64_t gen_len = 0;
+};
+Match ReferenceMatch(const Bytes& data) {
+  Match best;
+  if (data.size() < kMinGenerativePrefix) return best;
+  for (uint64_t p = 0; p < kPeriod; ++p) {
+    if (static_cast<uint8_t>(kAlphabet[p]) != data[0]) continue;
+    uint64_t i = 0;
+    while (i < data.size() && data[i] == static_cast<uint8_t>(kAlphabet[(i + p) % kPeriod])) ++i;
+    if (i > best.gen_len) best = Match{p, i};
+  }
+  if (best.gen_len < kMinGenerativePrefix) return Match{};
+  return best;
+}
+
+void ExpectCanonicalizeMatchesReference(const Bytes& data, const std::string& what) {
+  SCOPED_TRACE(what);
+  const Match want = ReferenceMatch(data);
+  const Ref got = Ref::Canonicalize(Bytes(data));
+  EXPECT_EQ(got.phase(), want.phase);
+  EXPECT_EQ(got.gen_len(), want.gen_len);
+  EXPECT_EQ(got.Materialize(), data);
+}
+
+TEST(ContentRef, ChunkedPhaseMatchEqualsByteLoop) {
+  const std::vector<uint64_t> lengths = {0,           1,           kPeriod - 1,    kPeriod,
+                                         kMatchChunk - 1, kMatchChunk, kMatchChunk + 1};
+  const uint64_t flip_len = 2 * kMatchChunk + 7;
+  const std::vector<uint64_t> flips = {0, kMatchChunk - 1, kMatchChunk, flip_len - 1};
+  for (uint64_t phase = 0; phase < kPeriod; ++phase) {
+    for (uint64_t len : lengths) {
+      ExpectCanonicalizeMatchesReference(
+          Synthesize(phase, 0, len),
+          "phase " + std::to_string(phase) + " length " + std::to_string(len));
+    }
+    for (uint64_t at : flips) {
+      Bytes data = Synthesize(phase, 0, flip_len);
+      data[at] ^= 0x80;  // the alphabet is ASCII, so this never matches
+      ExpectCanonicalizeMatchesReference(
+          data, "phase " + std::to_string(phase) + " flip at " + std::to_string(at));
+    }
+  }
 }
 
 TEST(ContentRef, CanonicalizeSplitsPrefixAndLiteralTail) {

@@ -100,6 +100,16 @@ TEST(AccessListTest, DeserializeRejectsGarbage) {
   EXPECT_FALSE(AccessList::Deserialize(w.Take()).ok());
 }
 
+TEST(AccessListTest, DeserializeRejectsHostileCount) {
+  // 0xFFFFFFFF entries announced, one entry's worth of body present.
+  itc::rpc::Writer w;
+  w.PutU32(0xFFFFFFFFu);
+  w.PutU8(0);
+  w.PutU32(1);
+  w.PutU32(static_cast<uint32_t>(kRead));
+  EXPECT_EQ(AccessList::Deserialize(w.Take()).status(), Status::kProtocolError);
+}
+
 // --- ProtectionDb -----------------------------------------------------------------
 
 class ProtectionDbTest : public ::testing::Test {

@@ -125,5 +125,47 @@ TEST_F(PathResolutionTest, WarmTraversalUsesNoServerCalls) {
   EXPECT_EQ(campus_->TotalCalls(), 0u);  // dirs + file all under callback promises
 }
 
+TEST_F(PathResolutionTest, DamagedCachedDirectoryFailsTheWalk) {
+  // Venus reads each directory hop from its local cache copy. If that copy
+  // stops decoding (here overwritten on the workstation's disk), the walk
+  // reports kInternal instead of misreading it, and listing fails the same
+  // way.
+  Venus& venus = ws_->venus();
+  ASSERT_TRUE(venus.Stat("/usr/p/a/b/leaf").ok());
+  const Fid a = venus.Stat("/usr/p/a")->fid;
+  ASSERT_TRUE(venus.cache().ReadData(a).ok());
+  ASSERT_EQ(ws_->local_fs().WriteFile(venus.cache().PathFor(a),
+                                      Bytes{0xFF, 0xFF, 0xFF, 0xFF, 'j', 'u', 'n', 'k'}),
+            Status::kOk);
+
+  EXPECT_EQ(venus.Stat("/usr/p/a/b/leaf").status(), Status::kInternal);
+  EXPECT_EQ(venus.Stat("/usr/p/a/absent").status(), Status::kInternal);
+  EXPECT_EQ(venus.ReadDir("/usr/p/a").status(), Status::kInternal);
+  // Walks that do not pass through the damaged directory are unaffected.
+  EXPECT_TRUE(venus.Stat("/usr/p/a").ok());
+  EXPECT_TRUE(venus.ReadDir("/usr/p").ok());
+}
+
+TEST_F(PathResolutionTest, WarmWalkChargesALookupAndALocalReadPerHop) {
+  // With every directory cached under a callback promise, resolving a path
+  // costs a cache lookup plus a local read of the directory's bytes at each
+  // hop, and one more lookup for the final status. Nothing else.
+  Venus& venus = ws_->venus();
+  ASSERT_TRUE(venus.Stat("/usr/p/a/b/leaf").ok());
+  const sim::CostModel& cost = campus_->config().cost;
+  SimTime expected = cost.cache_lookup;
+  for (const char* dir : {"/", "/usr", "/usr/p", "/usr/p/a", "/usr/p/a/b"}) {
+    auto st = venus.Stat(dir);
+    ASSERT_TRUE(st.ok()) << dir;
+    auto data = venus.cache().ReadData(st->fid);
+    ASSERT_TRUE(data.ok()) << dir;
+    expected += cost.cache_lookup + cost.LocalIoTime(data->size());
+  }
+
+  const SimTime before = ws_->clock().now();
+  ASSERT_TRUE(venus.Stat("/usr/p/a/b/leaf").ok());
+  EXPECT_EQ(ws_->clock().now() - before, expected);
+}
+
 }  // namespace
 }  // namespace itc::venus

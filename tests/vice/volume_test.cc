@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/rpc/wire.h"
+#include "src/vice/protocol.h"
+
 namespace itc::vice {
 namespace {
 
@@ -247,6 +250,45 @@ TEST_F(VolumeTest, DumpSizeMatchesDumpExactly) {
 
   ASSERT_EQ(vol_.RemoveFile(dir, "file.c"), Status::kOk);
   EXPECT_EQ(vol_.DumpSize(), vol_.Dump().size());
+}
+
+TEST_F(VolumeTest, RestoreRejectsHostileVnodeCount) {
+  rpc::Writer status;
+  PutVnodeStatus(status, VnodeStatus{});
+  EXPECT_EQ(status.size(), kVnodeStatusWireBytes);
+
+  // The vnode count follows magic, version, id, name, type, quota and the
+  // two fid counters; the one-vnode body after it stays as dumped.
+  Bytes dump = vol_.Dump();
+  ASSERT_TRUE(Volume::Restore(dump, 2, "copy", VolumeType::kReadWrite).ok());
+  const size_t count_at = 4 + 4 + 4 + (4 + vol_.name().size()) + 1 + 8 + 4 + 4;
+  ASSERT_EQ(Bytes(dump.begin() + count_at, dump.begin() + count_at + 4), (Bytes{1, 0, 0, 0}));
+  for (size_t i = 0; i < 4; ++i) dump[count_at + i] = 0xFF;
+  EXPECT_EQ(Volume::Restore(dump, 2, "copy", VolumeType::kReadWrite).status(),
+            Status::kProtocolError);
+}
+
+TEST(VolumeInfoTest, HostileReplicaCountIsRejected) {
+  rpc::Writer good;
+  PutVolumeInfo(good, VolumeInfo{.volume = 5, .replica_sites = {1, 2}});
+  const Bytes ok = good.Take();
+  rpc::Reader ok_reader(ok);
+  auto info = ReadVolumeInfo(ok_reader);
+  ASSERT_TRUE(info.ok());
+  EXPECT_EQ(info->replica_sites, (std::vector<ServerId>{1, 2}));
+
+  // 0xFFFFFFFF replica sites announced, one present.
+  rpc::Writer w;
+  w.PutU32(5);
+  w.PutU32(kInvalidVolume);
+  w.PutU32(kInvalidVolume);
+  w.PutBool(false);
+  w.PutU32(0);
+  w.PutU32(0xFFFFFFFFu);
+  w.PutU32(1);
+  const Bytes hostile = w.Take();
+  rpc::Reader r(hostile);
+  EXPECT_EQ(ReadVolumeInfo(r).status(), Status::kProtocolError);
 }
 
 TEST_F(VolumeTest, OfflineVolumeUnavailable) {
