@@ -5,8 +5,9 @@
 // serialization, CPS computation over deep group structures, path
 // resolution in the local file system, directory serialization, one path
 // hop in a directory's wire bytes, canonicalizing file contents on a cache
-// install, cache lookups, and a full warm open through Venus. These measure
-// the implementation itself (real microseconds, not the 1985 cost model).
+// install, a server checkpoint after one store, cache lookups, and a full
+// warm open through Venus. These measure the implementation itself (real
+// microseconds, not the 1985 cost model).
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +19,7 @@
 #include "src/protection/protection_db.h"
 #include "src/rpc/wire.h"
 #include "src/unixfs/file_system.h"
+#include "src/vice/recovery/stable_store.h"
 #include "src/workload/zipf.h"
 
 namespace {
@@ -183,6 +185,35 @@ void BM_Canonicalize(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_Canonicalize)->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20);
+
+// One store, then a checkpoint of the whole volume, as a Vice server takes
+// one every log_checkpoint_interval committed intentions. Images share
+// unchanged vnodes with the live volume, so the cost grows with the vnode
+// count only by the table's pointer copies.
+void BM_CheckpointVolume(benchmark::State& state) {
+  protection::AccessList acl;
+  acl.SetPositive(protection::Principal::Group(protection::kAnyUserGroup),
+                  protection::kAllRights);
+  vice::Volume vol(1, "bench", vice::VolumeType::kReadWrite, kAnonymousUser, acl, 0);
+  std::vector<Fid> files;
+  Fid dir = vol.root();
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    if (i % 100 == 0) {
+      dir = *vol.MakeDir(vol.root(), "d" + std::to_string(i / 100), kAnonymousUser, acl);
+    }
+    files.push_back(*vol.CreateFile(dir, "f" + std::to_string(i), kAnonymousUser, 0644));
+  }
+  vice::recovery::StableStore store;
+  store.CheckpointVolume(vol);
+  size_t next = 0;
+  for (auto _ : state) {
+    (void)vol.StoreData(files[next], ToBytes("contents " + std::to_string(next)));
+    next = (next + 1) % files.size();
+    store.CheckpointVolume(vol);
+  }
+  benchmark::DoNotOptimize(store.image_bytes());
+}
+BENCHMARK(BM_CheckpointVolume)->Arg(100)->Arg(1000)->Arg(10000);
 
 void BM_ZipfSample(benchmark::State& state) {
   workload::ZipfSampler zipf(1000, 0.9);

@@ -48,6 +48,9 @@ class AccessList {
 
   // Wire/storage encoding (stable, versionless).
   Bytes Serialize() const;
+  // Serialize().size() without serializing: per side a u32 count, then per
+  // entry a u8 principal kind, u32 id and u32 rights.
+  size_t WireSize() const { return 2 * 4 + (1 + 4 + 4) * entry_count(); }
   [[nodiscard]] static Result<AccessList> Deserialize(const Bytes& data);
 
   friend bool operator==(const AccessList&, const AccessList&) = default;

@@ -8,11 +8,13 @@
 // else (callback promises, advisory locks, connections, in-flight replies)
 // is volatile and is rebuilt or re-established after Restart().
 //
-// Images are snapshots rather than Volume::Dump byte streams so that the
-// periodic checkpoint costs O(vnodes) pointer copies on the host instead of
-// re-serializing every file byte; the *simulated* checkpoint disk charge is
-// unchanged because image_bytes() still reports exactly what the dumps
-// would have measured (Volume::DumpSize).
+// Images are snapshots rather than Volume::Dump byte streams. A snapshot
+// shares every vnode with the live volume copy-on-write, so a checkpoint
+// copies the vnode table's pointers plus whatever vnodes were written since
+// the last one, never every map or file byte. The *simulated* checkpoint
+// disk charge is unchanged: image_bytes() still reports exactly what the
+// dumps would have measured, read from each volume's maintained
+// Volume::DumpSize.
 //
 // Checkpointing is the log-truncation mechanism: after every
 // `checkpoint_interval` committed intentions the server re-dumps the
@@ -65,8 +67,9 @@ class StableStore {
   // simulated image size above.
   uint64_t RetainedContentBytes(std::unordered_set<const void*>* seen) const;
 
-  // Reconstructs every checkpointed volume from its image. Does not touch
-  // the log; the caller replays committed intentions on top.
+  // Reconstructs every checkpointed volume from its image; each shares its
+  // vnodes with the image copy-on-write. Does not touch the log; the caller
+  // replays committed intentions on top.
   [[nodiscard]] Result<std::vector<std::unique_ptr<Volume>>> RestoreVolumes() const;
 
   IntentionLog& log() { return log_; }
@@ -74,7 +77,7 @@ class StableStore {
 
  private:
   struct Image {
-    std::unique_ptr<Volume> snap;  // copy-on-write, shares data blocks
+    std::unique_ptr<Volume> snap;  // shares vnodes copy-on-write
     uint64_t dump_bytes = 0;       // what Dump().size() would have been
   };
 

@@ -20,7 +20,7 @@ Volume::Volume(VolumeId id, std::string name, VolumeType type, UserId owner,
   root.status.owner = owner;
   root.status.version = 1;
   root.acl = std::move(root_acl);
-  vnodes_.emplace(1u, std::move(root));
+  AddVnode(1, std::move(root));
   usage_bytes_ = kPerVnodeOverhead;
 }
 
@@ -28,10 +28,10 @@ Result<const Volume::Vnode*> Volume::Lookup(const Fid& fid) const {
   if (!online_) return Status::kVolumeOffline;
   if (fid.volume != id_) return Status::kInvalidArgument;
   auto it = vnodes_.find(fid.vnode);
-  if (it == vnodes_.end() || it->second.status.fid.uniquifier != fid.uniquifier) {
+  if (it == vnodes_.end() || it->second->status.fid.uniquifier != fid.uniquifier) {
     return Status::kStaleFid;
   }
-  return &it->second;
+  return it->second.get();
 }
 
 Result<DirItem> Volume::LookupEntry(const Fid& dir, const std::string& name) const {
@@ -43,8 +43,8 @@ Result<DirItem> Volume::LookupEntry(const Fid& dir, const std::string& name) con
 }
 
 Result<Volume::Vnode*> Volume::LookupMutable(const Fid& fid) {
-  ASSIGN_OR_RETURN(const Vnode* v, Lookup(fid));
-  return const_cast<Vnode*>(v);
+  RETURN_IF_ERROR(Lookup(fid).status());
+  return &Detach(vnodes_.at(fid.vnode));
 }
 
 Result<Volume::Vnode*> Volume::LookupDirMutable(const Fid& fid) {
@@ -55,10 +55,42 @@ Result<Volume::Vnode*> Volume::LookupDirMutable(const Fid& fid) {
 
 Fid Volume::NewFid() { return Fid{id_, next_vnode_++, next_uniquifier_++}; }
 
+Volume::Vnode& Volume::Detach(std::shared_ptr<Vnode>& slot) {
+  if (slot.use_count() > 1) slot = std::make_shared<Vnode>(*slot);
+  return *slot;
+}
+
+void Volume::AddVnode(uint32_t num, Vnode v) {
+  // Like emplace, keeps the first of two vnodes with one number (a hostile
+  // dump can repeat one).
+  auto [it, inserted] = vnodes_.try_emplace(num);
+  if (!inserted) return;
+  v.dump_bytes = 0;  // a copied vnode's share is not yet in this total
+  it->second = std::make_shared<Vnode>(std::move(v));
+  Reweigh(*it->second);
+}
+
+Volume::VnodeTable::iterator Volume::EraseVnode(VnodeTable::iterator it) {
+  vnode_dump_bytes_ -= it->second->dump_bytes;
+  return vnodes_.erase(it);
+}
+
+void Volume::Reweigh(Vnode& v) {
+  // Dump() writes, per vnode: its number, status and has-data flag, then
+  // the data (files and symlinks only), directory and ACL byte strings,
+  // each behind a 4-byte length prefix.
+  const bool has_data = v.status.type != VnodeType::kDirectory;
+  const uint64_t share = 4 + kVnodeStatusWireBytes + 1 + (has_data ? 4 + v.data.size() : 0) +
+                         4 + DirectoryDataSize(v.entries) + 4 + v.acl.WireSize();
+  vnode_dump_bytes_ = vnode_dump_bytes_ - v.dump_bytes + share;
+  v.dump_bytes = share;
+}
+
 void Volume::TouchDir(Vnode& dir) {
   dir.status.version += 1;
   dir.status.mtime = now_;
   dir.status.length = DirectoryDataSize(dir.entries);
+  Reweigh(dir);
 }
 
 Status Volume::ChargeQuota(int64_t delta) {
@@ -88,7 +120,7 @@ Result<Fid> Volume::CreateFile(const Fid& dir, const std::string& name, UserId o
   v.status.version = 1;
   v.status.mtime = now_;
   v.status.parent = dir;
-  vnodes_.emplace(fid.vnode, std::move(v));
+  AddVnode(fid.vnode, std::move(v));
   d->entries.emplace(name, DirItem{DirItem::Kind::kFile, fid, kInvalidVolume});
   TouchDir(*d);
   return fid;
@@ -112,7 +144,7 @@ Result<Fid> Volume::MakeDir(const Fid& dir, const std::string& name, UserId owne
   v.status.mtime = now_;
   v.status.parent = dir;
   v.acl = acl;
-  vnodes_.emplace(fid.vnode, std::move(v));
+  AddVnode(fid.vnode, std::move(v));
   d->entries.emplace(name, DirItem{DirItem::Kind::kDirectory, fid, kInvalidVolume});
   TouchDir(*d);
   return fid;
@@ -138,7 +170,7 @@ Result<Fid> Volume::MakeSymlink(const Fid& dir, const std::string& name,
   v.status.parent = dir;
   v.status.length = target.size();
   v.data = content::Ref::Inline(ToBytes(target));
-  vnodes_.emplace(fid.vnode, std::move(v));
+  AddVnode(fid.vnode, std::move(v));
   d->entries.emplace(name, DirItem{DirItem::Kind::kSymlink, fid, kInvalidVolume});
   TouchDir(*d);
   return fid;
@@ -164,10 +196,10 @@ Status Volume::RemoveFile(const Fid& dir, const std::string& name) {
   if (it->second.kind != DirItem::Kind::kMountPoint) {
     auto victim = vnodes_.find(it->second.fid.vnode);
     if (victim != vnodes_.end()) {
-      const uint64_t data_size = victim->second.data.size();
+      const uint64_t data_size = victim->second->data.size();
       ITC_CHECK(ChargeQuota(-static_cast<int64_t>(kPerVnodeOverhead + data_size)) ==
                 Status::kOk);
-      vnodes_.erase(victim);
+      EraseVnode(victim);
     }
   }
   d->entries.erase(it);
@@ -183,9 +215,9 @@ Status Volume::RemoveDir(const Fid& dir, const std::string& name) {
   if (it->second.kind != DirItem::Kind::kDirectory) return Status::kNotDirectory;
   auto victim = vnodes_.find(it->second.fid.vnode);
   if (victim != vnodes_.end()) {
-    if (!victim->second.entries.empty()) return Status::kNotEmpty;
+    if (!victim->second->entries.empty()) return Status::kNotEmpty;
     ITC_CHECK(ChargeQuota(-static_cast<int64_t>(kPerVnodeOverhead)) == Status::kOk);
-    vnodes_.erase(victim);
+    EraseVnode(victim);
   }
   d->entries.erase(it);
   TouchDir(*d);
@@ -221,7 +253,7 @@ Status Volume::Rename(const Fid& from_dir, const std::string& from_name, const F
     if (moving.kind == DirItem::Kind::kDirectory) {
       if (target.kind != DirItem::Kind::kDirectory) return Status::kNotDirectory;
       auto tv = vnodes_.find(target.fid.vnode);
-      if (tv != vnodes_.end() && !tv->second.entries.empty()) return Status::kNotEmpty;
+      if (tv != vnodes_.end() && !tv->second->entries.empty()) return Status::kNotEmpty;
       RETURN_IF_ERROR(RemoveDir(to_dir, to_name));
     } else {
       if (target.kind == DirItem::Kind::kDirectory) return Status::kIsDirectory;
@@ -239,7 +271,7 @@ Status Volume::Rename(const Fid& from_dir, const std::string& from_name, const F
   if (moving.kind != DirItem::Kind::kMountPoint) {
     auto mv = vnodes_.find(moving.fid.vnode);
     if (mv != vnodes_.end()) {
-      mv->second.status.parent = to_dir;
+      Detach(mv->second).status.parent = to_dir;
       // Fids are invariant across renames (Section 5.3): only the parent
       // pointer changes; fid, version and data are untouched.
     }
@@ -276,6 +308,7 @@ Status Volume::StoreRef(const Fid& fid, content::Ref data) {
   v->status.length = v->data.size();
   v->status.version += 1;
   v->status.mtime = now_;
+  Reweigh(*v);
   return Status::kOk;
 }
 
@@ -306,6 +339,7 @@ Status Volume::SetAcl(const Fid& dir, const protection::AccessList& acl) {
   if (v->status.type != VnodeType::kDirectory) return Status::kNotDirectory;
   v->acl = acl;
   v->status.version += 1;
+  Reweigh(*v);
   return Status::kOk;
 }
 
@@ -319,19 +353,22 @@ Result<protection::AccessList> Volume::EffectiveAcl(const Fid& fid) const {
 
 std::unique_ptr<Volume> Volume::Clone(VolumeId clone_id, const std::string& clone_name) const {
   auto clone = std::make_unique<Volume>(clone_id, clone_name, VolumeType::kReadOnly,
-                                        vnodes_.at(1).status.owner,
+                                        vnodes_.at(1)->status.owner,
                                         protection::AccessList{}, /*quota_bytes=*/0);
   clone->vnodes_.clear();
+  clone->vnode_dump_bytes_ = 0;
   auto rebrand = [clone_id](Fid f) {
     if (f.valid()) f.volume = clone_id;
     return f;
   };
+  // A clone rebrands every fid, so it copies each vnode; the copies still
+  // share `data` — the copy-on-write.
   for (const auto& [num, v] : vnodes_) {
-    Vnode copy = v;  // shares `data` — the copy-on-write
+    Vnode copy = *v;
     copy.status.fid = rebrand(copy.status.fid);
     copy.status.parent = rebrand(copy.status.parent);
     for (auto& [name, item] : copy.entries) item.fid = rebrand(item.fid);
-    clone->vnodes_.emplace(num, std::move(copy));
+    clone->AddVnode(num, std::move(copy));
   }
   clone->next_vnode_ = next_vnode_;
   clone->next_uniquifier_ = next_uniquifier_;
@@ -341,9 +378,10 @@ std::unique_ptr<Volume> Volume::Clone(VolumeId clone_id, const std::string& clon
 }
 
 std::unique_ptr<Volume> Volume::Snapshot() const {
-  auto snap = std::make_unique<Volume>(id_, name_, type_, vnodes_.at(1).status.owner,
+  auto snap = std::make_unique<Volume>(id_, name_, type_, vnodes_.at(1)->status.owner,
                                        protection::AccessList{}, quota_bytes_);
-  snap->vnodes_ = vnodes_;  // Vnode copies share `data` — the copy-on-write
+  snap->vnodes_ = vnodes_;  // shares every vnode — the copy-on-write
+  snap->vnode_dump_bytes_ = vnode_dump_bytes_;
   snap->online_ = online_;
   snap->usage_bytes_ = usage_bytes_;
   snap->next_vnode_ = next_vnode_;
@@ -357,8 +395,7 @@ constexpr uint32_t kDumpMagic = 0x56444d50;  // "VDMP"
 constexpr uint32_t kDumpVersion = 1;
 }  // namespace
 
-Bytes Volume::Dump() const {
-  rpc::Writer w;
+void Volume::PutDumpHeader(rpc::Writer& w) const {
   w.PutU32(kDumpMagic);
   w.PutU32(kDumpVersion);
   w.PutU32(id_);
@@ -368,13 +405,18 @@ Bytes Volume::Dump() const {
   w.PutU32(next_vnode_);
   w.PutU32(next_uniquifier_);
   w.PutU32(static_cast<uint32_t>(vnodes_.size()));
+}
+
+Bytes Volume::Dump() const {
+  rpc::Writer w;
+  PutDumpHeader(w);
   // Sorted for a stable, diffable dump format.
   std::vector<uint32_t> order;
   order.reserve(vnodes_.size());
   for (const auto& [num, v] : vnodes_) order.push_back(num);
   std::sort(order.begin(), order.end());
   for (uint32_t num : order) {
-    const Vnode& v = vnodes_.at(num);
+    const Vnode& v = *vnodes_.at(num);
     const bool has_data = v.status.type != VnodeType::kDirectory;
     w.PutU32(num);
     PutVnodeStatus(w, v.status);
@@ -391,28 +433,9 @@ Bytes Volume::Dump() const {
 }
 
 uint64_t Volume::DumpSize() const {
-  // Mirrors Dump() field for field, but counts the file contents instead of
-  // copying them: PutBytes(b) is a 4-byte length prefix plus b.size().
   rpc::Writer w;
-  w.PutU32(kDumpMagic);
-  w.PutU32(kDumpVersion);
-  w.PutU32(id_);
-  w.PutString(name_);
-  w.PutU8(static_cast<uint8_t>(type_));
-  w.PutU64(quota_bytes_);
-  w.PutU32(next_vnode_);
-  w.PutU32(next_uniquifier_);
-  w.PutU32(static_cast<uint32_t>(vnodes_.size()));
-  uint64_t data_bytes = 0;
-  for (const auto& [num, v] : vnodes_) {
-    w.PutU32(num);
-    PutVnodeStatus(w, v.status);
-    w.PutBool(v.status.type != VnodeType::kDirectory);
-    if (v.status.type != VnodeType::kDirectory) data_bytes += 4 + v.data.size();
-    data_bytes += 4 + DirectoryDataSize(v.entries);
-    data_bytes += 4 + v.acl.Serialize().size();
-  }
-  return w.size() + data_bytes;
+  PutDumpHeader(w);
+  return w.size() + vnode_dump_bytes_;
 }
 
 Result<std::unique_ptr<Volume>> Volume::Restore(const Bytes& dump, VolumeId new_id,
@@ -436,6 +459,7 @@ Result<std::unique_ptr<Volume>> Volume::Restore(const Bytes& dump, VolumeId new_
   auto vol = std::make_unique<Volume>(new_id, new_name, type, kAnonymousUser,
                                       protection::AccessList{}, quota);
   vol->vnodes_.clear();
+  vol->vnode_dump_bytes_ = 0;
   vol->next_vnode_ = next_vnode;
   vol->next_uniquifier_ = next_uniq;
 
@@ -465,7 +489,7 @@ Result<std::unique_ptr<Volume>> Volume::Restore(const Bytes& dump, VolumeId new_
     ASSIGN_OR_RETURN(Bytes acl_bytes, r.BytesField());
     ASSIGN_OR_RETURN(v.acl, protection::AccessList::Deserialize(acl_bytes));
     usage += kPerVnodeOverhead;
-    vol->vnodes_.emplace(num, std::move(v));
+    vol->AddVnode(num, std::move(v));
   }
   if (!r.AtEnd()) return Status::kProtocolError;
   if (!vol->vnodes_.contains(1)) return Status::kProtocolError;  // no root
@@ -476,23 +500,24 @@ Result<std::unique_ptr<Volume>> Volume::Restore(const Bytes& dump, VolumeId new_
 Volume::SalvageReport Volume::Salvage() {
   SalvageReport report;
 
+  // Every pass reads vnodes in place and detaches only the ones it changes,
+  // so salvaging a freshly restored volume leaves the vnodes it shares with
+  // its checkpoint image shared.
+
   // Pass 1: drop directory entries that point at missing/stale vnodes.
-  for (auto& [num, v] : vnodes_) {
-    if (v.status.type != VnodeType::kDirectory) continue;
-    for (auto it = v.entries.begin(); it != v.entries.end();) {
-      if (it->second.kind == DirItem::Kind::kMountPoint) {
-        ++it;
-        continue;
-      }
-      auto target = vnodes_.find(it->second.fid.vnode);
-      if (target == vnodes_.end() ||
-          target->second.status.fid.uniquifier != it->second.fid.uniquifier) {
-        it = v.entries.erase(it);
-        report.dangling_entries_removed += 1;
-      } else {
-        ++it;
-      }
-    }
+  const auto dangling = [this](const DirMap::value_type& entry) {
+    const DirItem& item = entry.second;
+    if (item.kind == DirItem::Kind::kMountPoint) return false;
+    auto target = vnodes_.find(item.fid.vnode);
+    return target == vnodes_.end() ||
+           target->second->status.fid.uniquifier != item.fid.uniquifier;
+  };
+  for (auto& [num, slot] : vnodes_) {
+    if (slot->status.type != VnodeType::kDirectory) continue;
+    if (std::none_of(slot->entries.begin(), slot->entries.end(), dangling)) continue;
+    Vnode& v = Detach(slot);
+    report.dangling_entries_removed += std::erase_if(v.entries, dangling);
+    Reweigh(v);
   }
 
   // Pass 2: find vnodes unreachable from the root; remove them. Also fix
@@ -503,13 +528,13 @@ Volume::SalvageReport Volume::Salvage() {
   while (!frontier.empty()) {
     const uint32_t cur = frontier.back();
     frontier.pop_back();
-    Vnode& v = Node(cur);
+    const Vnode& v = *vnodes_.at(cur);
     if (v.status.type != VnodeType::kDirectory) continue;
-    for (auto& [name, item] : v.entries) {
+    for (const auto& [name, item] : v.entries) {
       if (item.kind == DirItem::Kind::kMountPoint) continue;
-      Vnode& child = Node(item.fid.vnode);
-      if (!(child.status.parent == v.status.fid)) {
-        child.status.parent = v.status.fid;
+      std::shared_ptr<Vnode>& child = vnodes_.at(item.fid.vnode);
+      if (!(child->status.parent == v.status.fid)) {
+        Detach(child).status.parent = v.status.fid;
         report.parents_fixed += 1;
       }
       if (reachable.insert(item.fid.vnode).second) frontier.push_back(item.fid.vnode);
@@ -517,7 +542,7 @@ Volume::SalvageReport Volume::Salvage() {
   }
   for (auto it = vnodes_.begin(); it != vnodes_.end();) {
     if (!reachable.contains(it->first)) {
-      it = vnodes_.erase(it);
+      it = EraseVnode(it);
       report.orphan_vnodes_removed += 1;
     } else {
       ++it;
@@ -526,9 +551,11 @@ Volume::SalvageReport Volume::Salvage() {
 
   // Pass 3: recompute quota usage.
   uint64_t usage = 0;
-  for (auto& [num, v] : vnodes_) {
-    usage += kPerVnodeOverhead + v.data.size();
-    if (v.status.type == VnodeType::kDirectory) v.status.length = DirectoryDataSize(v.entries);
+  for (auto& [num, slot] : vnodes_) {
+    usage += kPerVnodeOverhead + slot->data.size();
+    if (slot->status.type != VnodeType::kDirectory) continue;
+    const uint64_t length = DirectoryDataSize(slot->entries);
+    if (slot->status.length != length) Detach(slot).status.length = length;
   }
   report.usage_corrected_bytes =
       usage > usage_bytes_ ? usage - usage_bytes_ : usage_bytes_ - usage;
@@ -538,7 +565,7 @@ Volume::SalvageReport Volume::Salvage() {
 
 uint64_t Volume::RetainedContentBytes(std::unordered_set<const void*>* seen) const {
   uint64_t total = 0;
-  for (const auto& [num, v] : vnodes_) total += v.data.RetainedBytes(seen);
+  for (const auto& [num, v] : vnodes_) total += v->data.RetainedBytes(seen);
   return total;
 }
 

@@ -7,15 +7,16 @@
 //  thereby creating a frozen, read-only replica... We will use copy-on-write
 //  semantics to make cloning a relatively inexpensive operation."
 //
-// A Volume owns its vnode table. File data is held as a content::Ref — a
-// lazy generative record plus a shared, interned literal tail — so a clone
-// shares every byte with its parent until either side is written (the
-// copy-on-write the paper calls for), and synthetic populated contents cost
-// ~32 bytes however large the file. Quota, status lengths, and dump images
-// are all accounted at the logical byte size; only code that needs real
-// bytes (FetchData, Dump) materializes, transiently. Volumes enforce quota
-// (Section 3.6) and read-only-ness; protection checks belong to the
-// FileServer above.
+// A Volume owns its vnode table, and shares each vnode with its snapshots
+// until either side writes it (see Snapshot). File data is held as a
+// content::Ref — a lazy generative record plus a shared, interned literal
+// tail — so a clone shares every byte with its parent until either side is
+// written (the copy-on-write the paper calls for), and synthetic populated
+// contents cost ~32 bytes however large the file. Quota, status lengths,
+// and dump images are all accounted at the logical byte size; only code
+// that needs real bytes (FetchData, Dump) materializes, transiently.
+// Volumes enforce quota (Section 3.6) and read-only-ness; protection checks
+// belong to the FileServer above.
 
 #ifndef SRC_VICE_VOLUME_H_
 #define SRC_VICE_VOLUME_H_
@@ -33,6 +34,10 @@
 #include "src/common/types.h"
 #include "src/protection/access_list.h"
 #include "src/vice/vnode.h"
+
+namespace itc::rpc {
+class Writer;
+}  // namespace itc::rpc
 
 namespace itc::vice {
 
@@ -70,6 +75,7 @@ class Volume {
     content::Ref data;           // file contents / symlink target (dirs: empty)
     DirMap entries;              // directories only
     protection::AccessList acl;  // directories only
+    uint64_t dump_bytes = 0;     // this vnode's share of Dump(); see Reweigh
   };
 
   // --- Lookup ----------------------------------------------------------------
@@ -136,14 +142,18 @@ class Volume {
                                                  const std::string& new_name,
                                                  VolumeType type);
 
-  // Exact in-memory snapshot: same id, name, type, counters, and metadata,
-  // sharing every data block with this volume copy-on-write. O(vnodes) with
-  // no byte serialization, so StableStore can checkpoint on every interval
-  // without re-copying file contents; Dump() remains the wire/backup format.
+  // Exact in-memory snapshot: same id, name, type, counters, and metadata.
+  // It shares every vnode with this volume copy-on-write: taking one copies
+  // the vnode table's pointers, and whichever side later writes a shared
+  // vnode copies that vnode alone. StableStore checkpoints this way, so a
+  // checkpoint costs what changed since the last one; Dump() remains the
+  // wire/backup format.
   std::unique_ptr<Volume> Snapshot() const;
-  // The size of the stream Dump() would produce, computed without copying
-  // file contents (the simulated checkpoint disk charge needs the byte
-  // count, not the bytes). Pinned to Dump().size() by volume_test.
+  // The size of the stream Dump() would produce: the header plus a running
+  // total of per-vnode shares that every mutation keeps current, so it is
+  // O(1) (the simulated checkpoint disk charge needs the byte count, not
+  // the bytes). Pinned to Dump().size() by volume_test and
+  // checkpoint_property_test.
   uint64_t DumpSize() const;
 
   struct SalvageReport {
@@ -167,11 +177,23 @@ class Volume {
   uint64_t RetainedContentBytes(std::unordered_set<const void*>* seen) const;
 
  private:
+  using VnodeTable = std::unordered_map<uint32_t, std::shared_ptr<Vnode>>;
+
   [[nodiscard]] Result<Vnode*> LookupMutable(const Fid& fid);
   [[nodiscard]] Result<Vnode*> LookupDirMutable(const Fid& fid);
   Fid NewFid();
-  Vnode& Node(uint32_t vnode) { return vnodes_.at(vnode); }
+  // The one way to write a vnode: copies it first while a snapshot still
+  // shares it, so the snapshot keeps the old contents.
+  static Vnode& Detach(std::shared_ptr<Vnode>& slot);
+  // Adds a vnode (counting its dump share) or erases one (uncounting it).
+  void AddVnode(uint32_t num, Vnode v);
+  VnodeTable::iterator EraseVnode(VnodeTable::iterator it);
+  // Recomputes `v`'s dump share after a size-changing write and moves the
+  // running total by the difference.
+  void Reweigh(Vnode& v);
   void TouchDir(Vnode& dir);
+  // Writes Dump()'s header: everything before the vnodes.
+  void PutDumpHeader(rpc::Writer& w) const;
   // Charges (new - old) bytes against quota; kQuotaExceeded if over.
   [[nodiscard]] Status ChargeQuota(int64_t delta);
 
@@ -184,7 +206,8 @@ class Volume {
   uint32_t next_vnode_ = 2;       // 1 is the root
   uint32_t next_uniquifier_ = 2;  // 1 is the root's
   SimTime now_ = 0;
-  std::unordered_map<uint32_t, Vnode> vnodes_;
+  uint64_t vnode_dump_bytes_ = 0;  // sum of every vnode's dump_bytes
+  VnodeTable vnodes_;
 };
 
 }  // namespace itc::vice

@@ -88,6 +88,21 @@ TEST(AccessListTest, SerializeRoundTrip) {
   EXPECT_EQ(*parsed, acl);
 }
 
+TEST(AccessListTest, WireSizeMatchesSerialize) {
+  // Volume::DumpSize counts ACL bytes with WireSize instead of serializing.
+  AccessList acl;
+  EXPECT_EQ(acl.WireSize(), acl.Serialize().size());
+  acl.SetPositive(Principal::User(42), kRead | kLookup);
+  acl.SetPositive(Principal::Group(kAnyUserGroup), kLookup);
+  EXPECT_EQ(acl.WireSize(), acl.Serialize().size());
+  AccessList negative_only;
+  negative_only.SetNegative(Principal::User(13), kAllRights);
+  EXPECT_EQ(negative_only.WireSize(), negative_only.Serialize().size());
+  acl.SetNegative(Principal::User(13), kAllRights);
+  acl.SetNegative(Principal::Group(kAnyUserGroup), kWrite);
+  EXPECT_EQ(acl.WireSize(), acl.Serialize().size());
+}
+
 TEST(AccessListTest, DeserializeRejectsGarbage) {
   EXPECT_FALSE(AccessList::Deserialize(Bytes{1, 2, 3}).ok());
   // Invalid rights bits.

@@ -328,5 +328,109 @@ TEST_F(RecoveryTest, DirectoryOpsReplayDeterministically) {
   EXPECT_EQ(ToString(*Fetch(conn2.get(), f)), "data");
 }
 
+// Restored volumes share their vnodes with the checkpoint images they came
+// from (copy-on-write), so a write after a restart must copy the vnode it
+// touches rather than reach through to the image. Checkpoint, mutate without
+// checkpointing, crash and restart; then commit one intention of every kind,
+// make volatile edits of every kind on top, and crash again: the second
+// restart must rebuild exactly the first image plus the committed replay,
+// and no image may ever show a write it was not checkpointed with.
+TEST_F(RecoveryTest, WritesAfterRestartNeverReachTheSharedImages) {
+  auto image_dump = [this]() {
+    auto images = server_->stable_store().RestoreVolumes();
+    ITC_CHECK(images.ok() && images->size() == 1);
+    return images->front()->Dump();
+  };
+  AccessList acl;
+  acl.SetPositive(Principal::User(alice_), protection::kAllRights);
+
+  Volume* live = server_->FindVolume(vol_);
+  const Fid root = live->root();
+  const Fid d = *live->MakeDir(root, "d", alice_, acl);
+  ASSERT_TRUE(live->MakeDir(d, "e", alice_, acl).ok());
+  const Fid f = *live->CreateFile(d, "f", alice_, 0644);
+  ASSERT_EQ(live->StoreData(f, ToBytes("checkpointed")), Status::kOk);
+  ASSERT_TRUE(live->CreateFile(root, "g", alice_, 0644).ok());
+  ASSERT_TRUE(live->MakeSymlink(root, "s", "/vice/elsewhere", alice_).ok());
+  ASSERT_EQ(live->MakeMountPoint(root, "m", 42), Status::kOk);
+  server_->CheckpointVolume(vol_);
+  const Bytes checkpoint = live->Dump();
+
+  // Not checkpointed, not logged: lost in the crash.
+  ASSERT_EQ(live->StoreData(f, ToBytes("volatile")), Status::kOk);
+  ASSERT_TRUE(live->CreateFile(root, "lost", alice_, 0644).ok());
+  EXPECT_EQ(image_dump(), checkpoint);
+
+  server_->SimulateCrash();
+  ASSERT_TRUE(server_->Restart(clock_.now()).clean());
+  live = server_->FindVolume(vol_);
+  // Restart salvages (which sets the never-written directory e's length)
+  // and re-checkpoints; the new image and the live volume share every vnode.
+  auto salvaged = Volume::Restore(checkpoint, vol_, live->name(), live->type());
+  ASSERT_TRUE(salvaged.ok());
+  EXPECT_TRUE((*salvaged)->Salvage().clean());
+  const Bytes image = (*salvaged)->Dump();
+  ASSERT_EQ(live->Dump(), image);
+  ASSERT_EQ(image_dump(), image);
+  ASSERT_EQ(server_->stable_store().image_bytes(), image.size());
+
+  // Commit one intention of every kind to the live volume and to a volume
+  // restored from the image's bytes, which shares nothing with anything.
+  auto expected = Volume::Restore(image, vol_, live->name(), live->type());
+  ASSERT_TRUE(expected.ok());
+  auto& log = server_->stable_store().log();
+  SimTime when = 1000;
+  auto commit = [&](IntentKind kind, Bytes payload) {
+    const uint64_t lsn = log.Append(kind, vol_, when++, std::move(payload));
+    const recovery::Intention& rec = log.records().back();
+    ASSERT_EQ(recovery::ApplyIntention(*live, rec), Status::kOk) << IntentKindName(kind);
+    ASSERT_EQ(recovery::ApplyIntention(**expected, rec), Status::kOk) << IntentKindName(kind);
+    log.MarkCommitted(lsn);
+    EXPECT_EQ(image_dump(), image) << IntentKindName(kind) << " leaked into the image";
+  };
+  AccessList narrowed = acl;
+  narrowed.SetNegative(Principal::Group(protection::kAnyUserGroup), protection::kWrite);
+  commit(IntentKind::kStore, recovery::EncodeStore(f, ToBytes("committed")));
+  commit(IntentKind::kCreateFile, recovery::EncodeCreateFile(d, "h", alice_, 0600));
+  commit(IntentKind::kMakeDir, recovery::EncodeMakeDir(root, "d2", alice_, acl.Serialize()));
+  commit(IntentKind::kMakeSymlink, recovery::EncodeMakeSymlink(d, "s2", "/vice/x", alice_));
+  commit(IntentKind::kRemoveFile, recovery::EncodeRemove(root, "g"));
+  commit(IntentKind::kRemoveDir, recovery::EncodeRemove(d, "e"));
+  commit(IntentKind::kRename, recovery::EncodeRename(d, "f", root, "f2"));
+  commit(IntentKind::kSetStatus, recovery::EncodeSetStatus(f, true, 0600, true, 99));
+  commit(IntentKind::kSetAcl, recovery::EncodeSetAcl(d, narrowed.Serialize()));
+  commit(IntentKind::kMakeMountPoint, recovery::EncodeMakeMountPoint(d, "m2", 43));
+  ASSERT_EQ(live->Dump(), (*expected)->Dump());
+
+  // Volatile edits of every kind on top: the crash loses them, and none
+  // may reach the image.
+  ASSERT_EQ(live->StoreData(f, ToBytes("volatile again")), Status::kOk);
+  const Fid v = *live->CreateFile(root, "v", alice_, 0644);
+  ASSERT_TRUE(live->MakeDir(d, "vd", alice_, acl).ok());
+  ASSERT_TRUE(live->MakeSymlink(root, "vs", "/vice/y", alice_).ok());
+  ASSERT_EQ(live->MakeMountPoint(root, "vm", 44), Status::kOk);
+  ASSERT_EQ(live->RemoveFile(root, "s"), Status::kOk);
+  ASSERT_EQ(live->RemoveDir(root, "d2"), Status::kOk);
+  ASSERT_EQ(live->Rename(root, "f2", d, "f3"), Status::kOk);
+  ASSERT_EQ(live->SetMode(v, 0400), Status::kOk);
+  ASSERT_EQ(live->SetOwner(root, 77), Status::kOk);
+  ASSERT_EQ(live->SetAcl(root, narrowed), Status::kOk);
+  EXPECT_TRUE(live->Salvage().clean());
+  EXPECT_EQ(image_dump(), image);
+  EXPECT_EQ(server_->stable_store().image_bytes(), image.size());
+
+  server_->SimulateCrash();
+  const auto report = server_->Restart(clock_.now());
+  EXPECT_TRUE(report.clean());
+  EXPECT_EQ(report.intentions_replayed, 10u);
+  live = server_->FindVolume(vol_);
+  // Restart salvages the replayed volume too (setting the new d2's length).
+  EXPECT_TRUE((*expected)->Salvage().clean());
+  const Bytes replayed = (*expected)->Dump();
+  EXPECT_EQ(live->Dump(), replayed);
+  EXPECT_EQ(image_dump(), replayed);
+  EXPECT_EQ(server_->stable_store().image_bytes(), replayed.size());
+}
+
 }  // namespace
 }  // namespace itc::vice
