@@ -104,7 +104,7 @@ void BM_CpsComputation(benchmark::State& state) {
   // A membership chain `depth` groups deep plus fan-out siblings.
   GroupId prev = 0;
   for (int64_t i = 0; i < state.range(0); ++i) {
-    GroupId g = *db.CreateGroup("g" + std::to_string(i));
+    GroupId g = *db.CreateGroup(Numbered("g", i));
     if (i == 0) {
       (void)db.AddToGroup(protection::Principal::User(user), g);
     } else {
@@ -199,9 +199,9 @@ void BM_CheckpointVolume(benchmark::State& state) {
   Fid dir = vol.root();
   for (int64_t i = 0; i < state.range(0); ++i) {
     if (i % 100 == 0) {
-      dir = *vol.MakeDir(vol.root(), "d" + std::to_string(i / 100), kAnonymousUser, acl);
+      dir = *vol.MakeDir(vol.root(), Numbered("d", i / 100), kAnonymousUser, acl);
     }
-    files.push_back(*vol.CreateFile(dir, "f" + std::to_string(i), kAnonymousUser, 0644));
+    files.push_back(*vol.CreateFile(dir, Numbered("f", i), kAnonymousUser, 0644));
   }
   vice::recovery::StableStore store;
   store.CheckpointVolume(vol);

@@ -76,7 +76,7 @@ int main() {
   day.p_read_own = 0.50;
   day.p_stat = 0.30;
   for (uint32_t w = 0; w < campus.workstation_count(); ++w) {
-    const std::string name = "u" + std::to_string(w);
+    const std::string name = Numbered("u", w);
     auto home = campus.AddUserWithHome(name, "pw", /*custodian=*/0);  // all at server 0
     ITC_CHECK(home.ok());
     ITC_CHECK(workload::PopulateUserFiles(campus, home->volume, day.own_files, w) ==

@@ -122,7 +122,7 @@ UserDayLab::UserDayLab(UserDayLabConfig config) : config_(std::move(config)) {
 
   // One user per workstation, home volume at the home-cluster server.
   for (uint32_t w = 0; w < campus_->workstation_count(); ++w) {
-    const std::string name = "u" + std::to_string(w);
+    const std::string name = Numbered("u", w);
     auto home = campus_->AddUserWithHome(name, "pw-" + name, campus_->HomeServerOf(w));
     ITC_CHECK(home.ok());
     ITC_CHECK(workload::PopulateUserFiles(*campus_, home->volume,

@@ -55,8 +55,8 @@ struct UserDayLabConfig {
   workload::UserDayConfig user_day;
   bool replicate_system_volume = false;
   uint64_t seed = 20251985;
-  // Event-driven (arrival-order) by default; bench_kernel_fidelity runs the
-  // same day under the conservative call-order baseline to measure its error.
+  // Event-driven (one kernel, arrival order) by default; kSharded runs one
+  // kernel per shard with the same results.
   sim::SchedulerMode scheduler_mode = sim::SchedulerMode::kEventDriven;
   // Fiber by default; bench_kernel_throughput runs both to compare wall-clock
   // cost. Backend choice cannot affect simulated results (docs/KERNEL.md).

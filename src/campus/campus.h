@@ -120,7 +120,7 @@ class Campus {
   ITC_KERNEL_QUIESCENT void PartitionCluster(ClusterId cluster, SimTime from, SimTime until);
 
   // Aggregated per-op CallStats across all servers (counts, bytes, latency
-  // histograms — recorded by the RPC tracing interceptor).
+  // histograms — recorded once per served call by each server endpoint).
   // Host bytes actually retained for file contents across the whole campus:
   // every server's volumes and stable store plus every workstation's local
   // file system (which holds the Venus cache copies). Buffers shared through

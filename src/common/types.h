@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace itc {
@@ -48,6 +49,14 @@ constexpr UserId kAnonymousUser = 0;
 
 inline Bytes ToBytes(const std::string& s) { return Bytes(s.begin(), s.end()); }
 inline std::string ToString(const Bytes& b) { return std::string(b.begin(), b.end()); }
+// `prefix` followed by `n` in decimal: Numbered("f", 12) == "f12". Spelled
+// out because GCC 12 at -O3 flags `"f" + std::to_string(n)` with a false
+// -Wrestrict.
+inline std::string Numbered(std::string_view prefix, uint64_t n) {
+  std::string s(prefix);
+  s += std::to_string(n);
+  return s;
+}
 
 }  // namespace itc
 

@@ -60,9 +60,9 @@ Bytes ClientHandshake::Start() {
   state_ = State::kSentHello;
   // M1 = user id (clear, so the server can find the key) || sealed Xr.
   Bytes sealed = Seal(user_key_, EncodeU64s({kTagHello, client_nonce_}), kIvHello);
-  Bytes m1;
-  for (int i = 0; i < 4; ++i) m1.push_back(static_cast<uint8_t>(user_ >> (8 * i)));
-  m1.insert(m1.end(), sealed.begin(), sealed.end());
+  Bytes m1(4 + sealed.size());
+  for (int i = 0; i < 4; ++i) m1[i] = static_cast<uint8_t>(user_ >> (8 * i));
+  std::copy(sealed.begin(), sealed.end(), m1.begin() + 4);
   return m1;
 }
 

@@ -3,8 +3,8 @@
 // The paper calls for "monitoring tools ... required to ease day-to-day
 // operations of the system"; CallStats is the RPC layer's contribution: every
 // call that flows through an op registry (src/rpc/op_registry.h) is recorded
-// here by the tracing interceptor — per-op count, bytes in/out, latency
-// histogram, and error-code breakdown. Server endpoints own one CallStats for
+// here once, by the server endpoint or the client stub — per-op count, bytes
+// in/out, latency histogram, and error-code breakdown. Server endpoints own one CallStats for
 // the calls they serve; client stubs (Venus, the protection client) may own
 // another for the round trips they observe. Campus aggregates the server-side
 // tables; bench/ dumps them as BENCH_rpc.json.

@@ -5,9 +5,10 @@
 // an OpSchema — `{opcode, name, CallClass, idempotent, flags, wire docs}` —
 // and binds handlers into an OpRegistry. The registry is the server
 // endpoint's only dispatch path, which gives every layer the same metadata:
-// the tracing interceptor labels CallStats entries from it, the client-side
-// retry interceptor consults `idempotent` (§3.5.3 at-most-once semantics for
-// mutators), and docs/PROTOCOL.md's opcode tables are rendered from it
+// CallStats entries are labelled from it, the client stub's retries consult
+// `idempotent` (§3.5.3 at-most-once semantics for mutators), the fault
+// injector filters by call class, and docs/PROTOCOL.md's opcode tables are
+// rendered from it
 // (RenderOpTable), so the document cannot drift from the code.
 
 #ifndef SRC_RPC_OP_REGISTRY_H_

@@ -2,7 +2,6 @@
 
 #include "src/common/logging.h"
 #include "src/crypto/cbc.h"
-#include "src/rpc/interceptor.h"
 #include "src/rpc/op_registry.h"
 #include "src/rpc/wire.h"
 #include "src/sim/kernel.h"
@@ -16,8 +15,26 @@ namespace {
 
 // Fixed per-message framing overhead on the wire (headers, addressing).
 constexpr uint64_t kWireHeaderBytes = 32;
+// The sealed frame's header: procedure number and anti-replay sequence.
+constexpr size_t kFrameHeaderBytes = 12;
 
 uint64_t WireSize(const Bytes& payload) { return payload.size() + kWireHeaderBytes; }
+
+// Outcome recorded for a finished call: the transport status on failure,
+// else the application status from the reply prologue (every reply begins
+// with one).
+Status OutcomeOf(const Result<Bytes>& result) {
+  if (!result.ok()) return result.status();
+  Reader r(result.value());
+  return ExpectOk(r);
+}
+
+void Record(CallStats& stats, const OpSpec* op, uint32_t opcode, SimTime latency,
+            const Bytes& request, const Result<Bytes>& result) {
+  stats.Record(opcode, op != nullptr ? op->name : "unknown",
+               op != nullptr ? op->call_class : CallClass::kOther, latency, request.size(),
+               result.ok() ? result.value().size() : 0, OutcomeOf(result));
+}
 
 // In sharded mode a cross-cluster Transfer migrates the calling activity to
 // the destination shard, and the reply transfer normally carries it home.
@@ -53,6 +70,30 @@ class HomeShardGuard {
 
 }  // namespace
 
+Status FaultInjector::Admit(const OpSpec* op, bool* drop_reply) {
+  const auto matches = [op](const std::optional<CallClass>& only) {
+    return !only.has_value() || (op != nullptr && op->call_class == *only);
+  };
+  *drop_reply = false;
+  if (fail_count_ > 0) {
+    if (fail_skip_ == 0) {
+      fail_count_ -= 1;
+      return fail_error_;
+    }
+    fail_skip_ -= 1;
+  }
+  if (drop_replies_ > 0 && matches(drop_replies_class_)) {
+    drop_replies_ -= 1;
+    *drop_reply = true;
+    return Status::kOk;
+  }
+  if (config_.error_probability > 0 && matches(config_.only_class) &&
+      rng_.Chance(config_.error_probability)) {
+    return config_.error;
+  }
+  return Status::kOk;
+}
+
 ServerEndpoint::ServerEndpoint(NodeId node, net::Network* network, const sim::CostModel& cost,
                                RpcConfig config, KeyLookup key_lookup, uint64_t nonce_seed)
     : node_(node),
@@ -63,20 +104,7 @@ ServerEndpoint::ServerEndpoint(NodeId node, net::Network* network, const sim::Co
       nonce_seed_(nonce_seed),
       cpu_("server.cpu.node" + std::to_string(node)),
       disk_("server.disk.node" + std::to_string(node)),
-      tracing_(std::make_unique<ServerTracingInterceptor>(&call_stats_)),
-      fault_(std::make_unique<FaultInjectionInterceptor>(nonce_seed ^ 0xfa017ull)),
-      chain_(std::make_unique<ServerInterceptorChain>()) {
-  fault_->set_config(config_.fault);
-  chain_->Add(tracing_.get());
-  chain_->Add(fault_.get());
-}
-
-ServerEndpoint::~ServerEndpoint() = default;
-
-void ServerEndpoint::set_config(RpcConfig config) {
-  config_ = config;
-  fault_->set_config(config_.fault);
-}
+      fault_(nonce_seed ^ 0xfa017ull) {}
 
 void ServerEndpoint::CloseConnectionsFrom(NodeId client_node) {
   for (auto it = connections_.begin(); it != connections_.end();) {
@@ -100,7 +128,7 @@ Result<Bytes> ServerEndpoint::HandleCall(uint64_t conn_id, NodeId client_node,
                                          const Bytes& sealed_request, SimTime arrival,
                                          SimTime* completion) {
   *completion = arrival;
-  if (!online_ || fault_->fail_all()) return Status::kUnavailable;
+  if (!online_ || fault_.fail_all()) return Status::kUnavailable;
   auto conn_it = connections_.find(conn_id);
   if (conn_it == connections_.end()) return Status::kConnectionBroken;
   ConnState& conn = conn_it->second;
@@ -124,66 +152,62 @@ Result<Bytes> ServerEndpoint::HandleCall(uint64_t conn_id, NodeId client_node,
   // rejected when presented a second time.
   if (client_seq <= conn.last_client_seq) return Status::kTamperDetected;
   conn.last_client_seq = client_seq;
-  Bytes body(request.begin() + 12, request.end());
+  Bytes body(request.begin() + kFrameHeaderBytes, request.end());
 
   ITC_CHECK(registry_ != nullptr);
-  ServerCallInfo info;
-  info.op = registry_->schema().Find(proc);
-  info.opcode = proc;
-  info.user = conn.user;
-  info.client_node = client_node;
-  info.arrival = arrival;
-  info.completion = completion;
+  const OpSpec* op = registry_->schema().Find(proc);
+  bool drop_reply = false;
+  const Status refused = fault_.Admit(op, &drop_reply);
+  Result<Bytes> result = refused != Status::kOk
+                             ? Result<Bytes>(refused)
+                             : Serve(conn.user, client_node, proc, body, arrival, completion);
+  if (drop_reply) result = Status::kUnavailable;  // executed; only the reply is lost
+  Record(call_stats_, op, proc, *completion - arrival, body, result);
+  if (!result.ok()) return result;
 
-  // Terminal stage of the chain, executed as three suspendable stages so the
-  // server's resources admit this call in arrival order relative to every
-  // other client: (1) at info.arrival, the CPU cost of picking up the request
-  // — structure switch + per-call base + request decrypt; (2) the handler
-  // runs, then the CPU it reported plus the reply encrypt; (3) the disk
-  // demand the handler accumulated, serialized after the CPU. Starts from
-  // info.arrival so delay-injecting interceptors compose naturally.
-  auto terminal = [&](const Bytes& b) -> Result<Bytes> {
-    sim::AlignTo(info.arrival);
-    SimTime pickup_cpu = cost_.server_cpu_per_call;
-    pickup_cpu += config_.server_structure == ServerStructure::kProcessPerClient
-                      ? cost_.server_context_switch
-                      : cost_.server_lwp_switch;
-    if (config_.encrypt) pickup_cpu += cost_.CryptoCpu(request.size());
-    SimTime t = sim::Charge(cpu_, info.arrival, pickup_cpu);
+  stats_.reply_bytes += result->size();
+  if (!config_.encrypt) return result;
+  conn.seq += 1;
+  return crypto::Seal(conn.secret.session_key, *result, conn.seq * 2 + 1);
+}
 
-    CallContext ctx(conn.user, client_node, info.arrival);
-    Result<Bytes> dispatched = registry_->Dispatch(ctx, proc, b);
-    if (!dispatched.ok()) return dispatched;
-    Bytes reply = std::move(dispatched).value();
+// Serves one admitted call as three suspendable stages, so the server's
+// resources admit it in arrival order relative to every other client:
+// (1) at `arrival`, the CPU cost of picking up the request — structure
+// switch + per-call base + request decrypt; (2) the handler runs, then the
+// CPU it reported plus the reply encrypt; (3) the disk demand the handler
+// accumulated, serialized after the CPU.
+Result<Bytes> ServerEndpoint::Serve(UserId user, NodeId client_node, uint32_t proc,
+                                    const Bytes& body, SimTime arrival, SimTime* completion) {
+  sim::AlignTo(arrival);
+  SimTime pickup_cpu = cost_.server_cpu_per_call;
+  pickup_cpu += config_.server_structure == ServerStructure::kProcessPerClient
+                    ? cost_.server_context_switch
+                    : cost_.server_lwp_switch;
+  if (config_.encrypt) pickup_cpu += cost_.CryptoCpu(kFrameHeaderBytes + body.size());
+  SimTime t = sim::Charge(cpu_, arrival, pickup_cpu);
 
-    SimTime reply_cpu = ctx.cpu_demand();
-    if (config_.encrypt) reply_cpu += cost_.CryptoCpu(reply.size());
-    t = sim::Charge(cpu_, t, reply_cpu);
-    if (ctx.disk_ops() > 0 || ctx.disk_time() > 0) {
-      const SimTime disk_demand =
-          static_cast<SimTime>(ctx.disk_ops()) * cost_.disk_seek +
-          static_cast<SimTime>(static_cast<double>(cost_.disk_per_kb) *
-                               (static_cast<double>(ctx.disk_bytes()) / 1024.0)) +
-          ctx.disk_time();
-      t = sim::Charge(disk_, t, disk_demand);
-    }
-    if (ctx.completion_floor() > t) {
-      // The handler waited on virtual time itself (lease expiry, grant
-      // embargo), not on a server resource; no utilization is charged.
-      sim::AlignTo(ctx.completion_floor());
-      t = ctx.completion_floor();
-    }
-    *completion = t;
-    return reply;
-  };
+  CallContext ctx(user, client_node, arrival);
+  ASSIGN_OR_RETURN(Bytes reply, registry_->Dispatch(ctx, proc, body));
 
-  ASSIGN_OR_RETURN(Bytes reply, chain_->Run(info, body, terminal));
-
-  stats_.reply_bytes += reply.size();
-  if (config_.encrypt) {
-    conn.seq += 1;
-    return crypto::Seal(conn.secret.session_key, reply, conn.seq * 2 + 1);
+  SimTime reply_cpu = ctx.cpu_demand();
+  if (config_.encrypt) reply_cpu += cost_.CryptoCpu(reply.size());
+  t = sim::Charge(cpu_, t, reply_cpu);
+  if (ctx.disk_ops() > 0 || ctx.disk_time() > 0) {
+    const SimTime disk_demand =
+        static_cast<SimTime>(ctx.disk_ops()) * cost_.disk_seek +
+        static_cast<SimTime>(static_cast<double>(cost_.disk_per_kb) *
+                             (static_cast<double>(ctx.disk_bytes()) / 1024.0)) +
+        ctx.disk_time();
+    t = sim::Charge(disk_, t, disk_demand);
   }
+  if (ctx.completion_floor() > t) {
+    // The handler waited on virtual time itself (lease expiry, grant
+    // embargo), not on a server resource; no utilization is charged.
+    sim::AlignTo(ctx.completion_floor());
+    t = ctx.completion_floor();
+  }
+  *completion = t;
   return reply;
 }
 
@@ -201,20 +225,7 @@ ClientConnection::ClientConnection(NodeId client_node, UserId user, ServerEndpoi
       conn_id_(conn_id),
       secret_(secret),
       config_(config),
-      options_(options),
-      chain_(std::make_unique<ClientInterceptorChain>()) {
-  // Outermost first: tracing sees the whole call including retries; the
-  // deadline is per attempt, inside the retry loop.
-  if (options_.stats != nullptr) {
-    chain_->Add(std::make_unique<ClientTracingInterceptor>(options_.stats));
-  }
-  if (config_.retry.max_retries > 0) {
-    chain_->Add(std::make_unique<RetryInterceptor>(config_.retry));
-  }
-  if (config_.call_deadline > 0) {
-    chain_->Add(std::make_unique<DeadlineInterceptor>(config_.call_deadline));
-  }
-}
+      options_(options) {}
 
 ClientConnection::~ClientConnection() { server_->CloseConnection(conn_id_); }
 
@@ -222,7 +233,7 @@ Result<std::unique_ptr<ClientConnection>> ClientConnection::Connect(
     NodeId client_node, UserId user, const crypto::Key& user_key, ServerEndpoint* server,
     net::Network* network, const sim::CostModel& cost, sim::Clock* clock,
     uint64_t nonce_seed, ClientOptions options) {
-  if (!server->online_ || server->fault_->fail_all()) return Status::kUnavailable;
+  if (!server->online_ || server->fault_.fail_all()) return Status::kUnavailable;
   const RpcConfig config = server->config_;
   const SimTime stream_penalty =
       config.transport == Transport::kStream ? cost.stream_transport_overhead : 0;
@@ -300,14 +311,36 @@ Result<std::unique_ptr<ClientConnection>> ClientConnection::Connect(
 }
 
 Result<Bytes> ClientConnection::Call(uint32_t proc, const Bytes& request) {
-  ClientCallInfo info;
-  info.op = options_.schema != nullptr ? options_.schema->Find(proc) : nullptr;
-  info.opcode = proc;
-  info.server_node = server_->node();
-  info.clock = clock_;
-  info.transport = config_.transport;
-  return chain_->Run(info, request,
-                     [this, proc](const Bytes& req) { return SendOnce(proc, req); });
+  const OpSpec* op = options_.schema != nullptr ? options_.schema->Find(proc) : nullptr;
+  // The stream transport already delivers reliably, and a mutator (or an op
+  // the schema does not vouch for) must stay at-most-once (§3.5.3).
+  const bool retryable =
+      config_.transport == Transport::kDatagram && op != nullptr && op->idempotent;
+  const auto attempt = [&]() -> Result<Bytes> {
+    const SimTime sent = clock_->now();
+    Result<Bytes> result = SendOnce(proc, request);
+    if (config_.call_deadline > 0 && clock_->now() - sent > config_.call_deadline) {
+      return Status::kTimedOut;
+    }
+    return result;
+  };
+
+  const SimTime start = clock_->now();
+  Result<Bytes> result = attempt();
+  SimTime backoff = config_.retry.initial_backoff;
+  for (uint32_t retry = 0; retryable && retry < config_.retry.max_retries; ++retry) {
+    if (result.ok() ||
+        (result.status() != Status::kUnavailable && result.status() != Status::kTimedOut)) {
+      break;
+    }
+    if (backoff > 0) clock_->Advance(backoff);
+    backoff *= 2;
+    result = attempt();
+  }
+  if (options_.stats != nullptr) {
+    Record(*options_.stats, op, proc, clock_->now() - start, request, result);
+  }
+  return result;
 }
 
 Result<Bytes> ClientConnection::SendOnce(uint32_t proc, const Bytes& request) {
@@ -321,8 +354,8 @@ Result<Bytes> ClientConnection::SendOnce(uint32_t proc, const Bytes& request) {
   Writer w;
   w.PutU32(proc);
   w.PutU64(seq_);
+  w.PutRaw(request);
   Bytes framed = w.Take();
-  framed.insert(framed.end(), request.begin(), request.end());
 
   SimTime t = clock_->now() + cost_.client_cpu_per_rpc;
   Bytes sealed;

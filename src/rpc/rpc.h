@@ -19,6 +19,10 @@
 //     describes its procedures in an OpSchema and hands its endpoint an
 //     OpRegistry (src/rpc/op_registry.h). There is one dispatch path, so
 //     every call is traced, fault-injectable and labelled the same way.
+//   * Call path. The server endpoint asks its FaultInjector what to do with
+//     a call, dispatches it, and records CallStats once. The client stub
+//     runs one attempt loop: per-attempt deadline, retries with doubling
+//     backoff for idempotent datagram calls only (§3.5.3), one record.
 //
 // Functionally everything is synchronous and in-process; timing flows
 // through src/net (LAN segments) and the server's CPU/disk resources, so
@@ -35,6 +39,7 @@
 #include <unordered_map>
 
 #include "src/common/result.h"
+#include "src/common/rng.h"
 #include "src/common/types.h"
 #include "src/crypto/handshake.h"
 #include "src/crypto/key.h"
@@ -48,34 +53,17 @@ namespace itc::rpc {
 
 class OpRegistry;
 class OpSchema;
-class ServerInterceptorChain;
-class ServerTracingInterceptor;
-class FaultInjectionInterceptor;
-class ClientInterceptorChain;
+struct OpSpec;
 
 enum class Transport { kStream, kDatagram };
 enum class ServerStructure { kProcessPerClient, kLwp };
 
-// Client-stub retry policy (§3.5.3 RPC-level reliability). Applied by the
-// RetryInterceptor to datagram-transport calls on ops the schema marks
-// idempotent; mutators are never blindly resent (at-most-once).
+// Client-stub retry policy (§3.5.3 RPC-level reliability). Applies to
+// datagram-transport calls on ops the schema marks idempotent; mutators are
+// never blindly resent (at-most-once).
 struct RetryPolicy {
-  uint32_t max_retries = 0;               // 0 disables the interceptor
+  uint32_t max_retries = 0;               // 0: every call gets one attempt
   SimTime initial_backoff = Millis(20);   // doubles after each failed attempt
-};
-
-// Seeded fault injection applied at the server endpoint (probabilities per
-// matching call; `only_class` restricts faults to one call class). Tests use
-// this — plus FaultInjectionInterceptor's deterministic set_fail_all /
-// DropNextReplies controls — instead of mutating server internals.
-struct FaultConfig {
-  double drop_probability = 0;        // request lost before execution
-  double reply_drop_probability = 0;  // executed, reply lost
-  double error_probability = 0;       // answered with `error`, not executed
-  Status error = Status::kUnavailable;
-  double delay_probability = 0;
-  SimTime delay = 0;
-  std::optional<CallClass> only_class;
 };
 
 struct RpcConfig {
@@ -84,11 +72,89 @@ struct RpcConfig {
   // When false, messages travel unsealed (no crypto CPU, no integrity);
   // exists for the security-cost ablation only.
   bool encrypt = true;
-  // Client-side interceptors: retries and a per-attempt deadline (0 = none).
+  // Client stub: retries and a per-attempt deadline (0 = none).
   RetryPolicy retry;
   SimTime call_deadline = 0;
-  // Server-side fault injection (inert by default).
-  FaultConfig fault;
+};
+
+// Adversarial moments inside a mutating Vice operation at which a test can
+// schedule a server crash. The server polls FaultInjector::ConsumeCrashAt()
+// at each point:
+//   kBeforeLogAppend — crash before the intention is logged: the op leaves
+//     no trace at all; after restart it is simply absent.
+//   kAfterLogAppend — the intention is durable but uncommitted: recovery
+//     must DISCARD it (the client never got a reply; §3.5 store-on-close
+//     atomicity).
+//   kBeforeReply — applied and committed, reply lost: recovery must REPLAY
+//     it; the client sees a transport failure for a change that stuck.
+enum class CrashPoint : uint8_t {
+  kNone = 0,
+  kBeforeLogAppend,
+  kAfterLogAppend,
+  kBeforeReply,
+};
+
+// Seeded error injection: each call of `only_class` (every call when unset)
+// is answered with `error`, unexecuted, with probability error_probability.
+struct FaultConfig {
+  double error_probability = 0;
+  Status error = Status::kUnavailable;
+  std::optional<CallClass> only_class;
+};
+
+// The server endpoint's fault injector. Tests fail a server through it
+// instead of poking server internals:
+//   * set_fail_all(true) — total outage: every call and every handshake
+//     fails kUnavailable until cleared;
+//   * DropNextReplies(n, cls) — the next n matching calls EXECUTE on the
+//     server but their replies are lost, which is exactly the §3.5.3 case
+//     that distinguishes retryable idempotent ops from at-most-once mutators;
+//   * FailCalls(skip, count, error) — after `skip` calls, the next `count`
+//     fail with `error`, unexecuted: targets one call inside a multi-RPC
+//     client operation without guessing at seeded probabilities;
+//   * ArmCrash(point) — a one-shot crash at a CrashPoint;
+//   * set_config — seeded error injection (FaultConfig).
+class FaultInjector {
+ public:
+  explicit FaultInjector(uint64_t seed) : rng_(seed) {}
+
+  void set_config(const FaultConfig& config) { config_ = config; }
+  void set_fail_all(bool v) { fail_all_ = v; }
+  bool fail_all() const { return fail_all_; }
+  void DropNextReplies(uint32_t n, std::optional<CallClass> only_class = std::nullopt) {
+    drop_replies_ = n;
+    drop_replies_class_ = only_class;
+  }
+  void FailCalls(uint32_t skip, uint32_t count, Status error = Status::kUnavailable) {
+    fail_skip_ = skip;
+    fail_count_ = count;
+    fail_error_ = error;
+  }
+
+  // The next ConsumeCrashAt(point) returns true, once; the handler polling
+  // it then crashes the server and aborts the call.
+  void ArmCrash(CrashPoint point) { armed_crash_ = point; }
+  bool ConsumeCrashAt(CrashPoint point) {
+    if (armed_crash_ != point || point == CrashPoint::kNone) return false;
+    armed_crash_ = CrashPoint::kNone;
+    return true;
+  }
+
+  // Decides the fate of one call to `op` (null: outside the schema). An
+  // error means "answer with it, unexecuted"; kOk means dispatch, and
+  // *drop_reply then says whether the reply is lost after execution.
+  [[nodiscard]] Status Admit(const OpSpec* op, bool* drop_reply);
+
+ private:
+  FaultConfig config_;
+  Rng rng_;
+  bool fail_all_ = false;
+  uint32_t drop_replies_ = 0;
+  std::optional<CallClass> drop_replies_class_;
+  uint32_t fail_skip_ = 0;
+  uint32_t fail_count_ = 0;
+  Status fail_error_ = Status::kUnavailable;
+  CrashPoint armed_crash_ = CrashPoint::kNone;
 };
 
 // Per-call server-side context handed to the op handler. The handler
@@ -154,12 +220,10 @@ class ServerEndpoint {
 
   ServerEndpoint(NodeId node, net::Network* network, const sim::CostModel& cost,
                  RpcConfig config, KeyLookup key_lookup, uint64_t nonce_seed);
-  ~ServerEndpoint();
 
   // The service's typed op table and handlers; every call dispatches through
   // it. Must be set before the first call.
   void set_registry(const OpRegistry* registry) { registry_ = registry; }
-  void set_config(RpcConfig config);
 
   // Simulated outage: while offline the endpoint accepts no handshakes and
   // answers no calls (kUnavailable). Toggling this alone keeps connection
@@ -181,11 +245,10 @@ class ServerEndpoint {
   sim::Resource& cpu() { return cpu_; }
   sim::Resource& disk() { return disk_; }
   ITC_KERNEL_QUIESCENT const RpcStats& stats() const { return stats_; }
-  // Per-op tracing recorded by the server interceptor chain.
+  // Per-op tracing: every call that reaches dispatch, recorded once.
   CallStats& call_stats() { return call_stats_; }
   const CallStats& call_stats() const { return call_stats_; }
-  // The endpoint's fault injector (tests: set_fail_all, DropNextReplies).
-  FaultInjectionInterceptor& fault() { return *fault_; }
+  FaultInjector& fault() { return fault_; }
   void ResetStats() {
     stats_ = RpcStats{};
     call_stats_.Reset();
@@ -217,6 +280,11 @@ class ServerEndpoint {
  private:
   friend class ClientConnection;
 
+  // Dispatches one admitted call and charges its CPU and disk; sets
+  // *completion to when the reply leaves the server.
+  [[nodiscard]] Result<Bytes> Serve(UserId user, NodeId client_node, uint32_t proc,
+                                    const Bytes& body, SimTime arrival, SimTime* completion);
+
   NodeId node_;
   net::Network* network_;
   sim::CostModel cost_;
@@ -231,15 +299,11 @@ class ServerEndpoint {
   ITC_OWNED_BY_SHARD std::unordered_map<uint64_t, ConnState> connections_;
   ITC_OWNED_BY_SHARD RpcStats stats_;
   ITC_OWNED_BY_SHARD CallStats call_stats_;
-  // Server interceptor chain: tracing (outermost) then fault injection,
-  // wrapped around dispatch + resource charging.
-  std::unique_ptr<ServerTracingInterceptor> tracing_;
-  std::unique_ptr<FaultInjectionInterceptor> fault_;
-  std::unique_ptr<ServerInterceptorChain> chain_;
+  FaultInjector fault_;
 };
 
 // Optional client-stub wiring: the op schema of the service being called
-// (enables the retry interceptor's idempotency check and labels traces) and
+// (enables retries, which need its idempotency flags, and labels traces) and
 // a CallStats table to record the client-observed round trips into.
 struct ClientOptions {
   const OpSchema* schema = nullptr;
@@ -263,10 +327,12 @@ class ClientConnection {
   ClientConnection(const ClientConnection&) = delete;
   ClientConnection& operator=(const ClientConnection&) = delete;
 
-  // Performs one RPC through the client interceptor chain (tracing, retry,
-  // deadline): seals `request`, ships it to the server, runs the service,
-  // ships the reply back, advancing the client clock to the moment the reply
-  // has been decrypted.
+  // Performs one RPC: seals `request`, ships it to the server, runs the
+  // service, ships the reply back, advancing the client clock to the moment
+  // the reply has been decrypted. An attempt that outlasts call_deadline
+  // fails kTimedOut; a failed transport attempt of an idempotent datagram
+  // call is retried after a doubling backoff. Recorded once, retries and
+  // backoff included, into the ClientOptions stats.
   [[nodiscard]] Result<Bytes> Call(uint32_t proc, const Bytes& request);
 
   UserId user() const { return user_; }
@@ -292,7 +358,6 @@ class ClientConnection {
   crypto::SessionSecret secret_;
   RpcConfig config_;
   ClientOptions options_;
-  std::unique_ptr<ClientInterceptorChain> chain_;
   uint64_t seq_ = 0;
 };
 

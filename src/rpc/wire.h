@@ -25,23 +25,21 @@ inline constexpr size_t kStringMinWireBytes = 4;  // length prefix of ""
 
 class Writer {
  public:
-  void PutU8(uint8_t v) { buf_.push_back(v); }
-  void PutU32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-  void PutU64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
+  void PutU8(uint8_t v) { Append(&v, 1); }
+  void PutU32(uint32_t v) { PutLittleEndian(v); }
+  void PutU64(uint64_t v) { PutLittleEndian(v); }
   void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
   void PutBool(bool v) { PutU8(v ? 1 : 0); }
   void PutString(std::string_view s) {
     PutU32(static_cast<uint32_t>(s.size()));
-    buf_.insert(buf_.end(), s.begin(), s.end());
+    Append(s.data(), s.size());
   }
   void PutBytes(const Bytes& b) {
     PutU32(static_cast<uint32_t>(b.size()));
-    buf_.insert(buf_.end(), b.begin(), b.end());
+    Append(b.data(), b.size());
   }
+  // No length prefix: for a payload that runs to the end of the message.
+  void PutRaw(const Bytes& b) { Append(b.data(), b.size()); }
   void PutFid(const Fid& f) {
     PutU32(f.volume);
     PutU32(f.vnode);
@@ -53,6 +51,17 @@ class Writer {
   size_t size() const { return buf_.size(); }
 
  private:
+  template <typename T>
+  void PutLittleEndian(T v) {
+    uint8_t b[sizeof(T)];
+    for (size_t i = 0; i < sizeof(T); ++i) b[i] = static_cast<uint8_t>(v >> (8 * i));
+    Append(b, sizeof(T));
+  }
+  // Every Put ends here. Out of line (wire.cc): inlined into callers at
+  // -O3, the vector growth draws false -Wstringop-overflow and
+  // -Warray-bounds warnings from GCC 12.
+  void Append(const void* data, size_t n);
+
   Bytes buf_;
 };
 

@@ -16,15 +16,7 @@ constexpr SimTime kForever = std::numeric_limits<SimTime>::max();
 SimTime Scheduler::RunAll() { return RunUntil(kForever); }
 
 SimTime Scheduler::RunUntil(SimTime horizon) {
-  switch (mode_) {
-    case SchedulerMode::kEventDriven:
-      return RunEventDriven(horizon);
-    case SchedulerMode::kSharded:
-      return RunSharded(horizon);
-    case SchedulerMode::kConservative:
-      break;
-  }
-  return RunConservative(horizon);
+  return mode_ == SchedulerMode::kSharded ? RunSharded(horizon) : RunEventDriven(horizon);
 }
 
 SimTime Scheduler::RunSharded(SimTime horizon) {
@@ -42,7 +34,7 @@ SimTime Scheduler::RunSharded(SimTime horizon) {
     // Same loop body as RunEventDriven, but through sim::AlignTo: after a
     // cross-shard migration the activity must realign on whichever kernel
     // is hosting it, not the one it was spawned on.
-    group.Spawn(domains_[i], "p" + std::to_string(i), p->now(), [p, horizon] {
+    group.Spawn(domains_[i], Numbered("p", i), p->now(), [p, horizon] {
       while (!p->done() && p->now() < horizon) {
         sim::AlignTo(p->now());
         p->Step();
@@ -70,7 +62,7 @@ SimTime Scheduler::RunEventDriven(SimTime horizon) {
   if (trace_enabled_) kernel.EnableTrace(trace_capacity_);
   for (size_t i = 0; i < processes_.size(); ++i) {
     Process* p = processes_[i];
-    kernel.Spawn("p" + std::to_string(i), p->now(), [p, horizon, &kernel] {
+    kernel.Spawn(Numbered("p", i), p->now(), [p, horizon, &kernel] {
       // Re-align before every Step: an operation ends with the process clock
       // ahead of global time (the completion it computed), and the next
       // operation must not start — or touch any resource — until then.
@@ -85,24 +77,6 @@ SimTime Scheduler::RunEventDriven(SimTime horizon) {
   if (trace_enabled_) trace_ = kernel.trace();
 
   SimTime latest = 0;
-  for (Process* p : processes_) {
-    latest = std::max(latest, std::min(p->now(), horizon));
-  }
-  return latest;
-}
-
-SimTime Scheduler::RunConservative(SimTime horizon) {
-  SimTime latest = 0;
-  for (;;) {
-    Process* next = nullptr;
-    for (Process* p : processes_) {
-      if (p->done() || p->now() >= horizon) continue;
-      if (next == nullptr || p->now() < next->now()) next = p;
-    }
-    if (next == nullptr) break;
-    next->Step();
-    latest = std::max(latest, std::min(next->now(), horizon));
-  }
   for (Process* p : processes_) {
     latest = std::max(latest, std::min(p->now(), horizon));
   }

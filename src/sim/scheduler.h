@@ -8,11 +8,6 @@
 // suspension point. Demands therefore reach every resource in global arrival
 // order — a fetch can hold the LAN, queue at the server CPU behind another
 // client's store, then wait on the disk, all interleaved exactly.
-//
-// The legacy conservative mode (step the minimum-virtual-time process, run
-// each operation synchronously) is retained as the call-order baseline so
-// bench_kernel_fidelity can quantify the ordering error the old model
-// incurred. New code should not select it.
 
 #ifndef SRC_SIM_SCHEDULER_H_
 #define SRC_SIM_SCHEDULER_H_
@@ -43,11 +38,6 @@ enum class SchedulerMode {
   // Default: processes are kernel activities; resources see demands in
   // global arrival order.
   kEventDriven,
-  // Call-order baseline: whole operations execute synchronously in
-  // min-virtual-time order, so a process stepped later can present a
-  // resource arrival earlier than work already admitted. Kept only for
-  // measuring that error (bench_kernel_fidelity) and for regression tests.
-  kConservative,
   // Sharded multi-kernel mode (src/sim/kernel_group.h): processes run as
   // activities of the kernel owning their domain's shard, one OS thread per
   // shard, synchronized conservatively at the backbone lookahead. Requires
@@ -112,7 +102,6 @@ class Scheduler {
 
  private:
   SimTime RunEventDriven(SimTime horizon);
-  SimTime RunConservative(SimTime horizon);
   SimTime RunSharded(SimTime horizon);
 
   std::vector<Process*> processes_;

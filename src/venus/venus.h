@@ -141,8 +141,8 @@ class Venus : public vice::CallbackReceiver, private validation::ValidationHost 
   ITC_KERNEL_QUIESCENT void FlushCache();
   ITC_KERNEL_QUIESCENT FileCache& cache() { return cache_; }
   ITC_KERNEL_QUIESCENT const VenusStats& stats() const { return stats_; }
-  // Client-observed per-op round trips (recorded by the stub's tracing
-  // interceptor, including retries).
+  // Client-observed per-op round trips (recorded once per call by the stub,
+  // retries and backoff included).
   ITC_KERNEL_QUIESCENT const rpc::CallStats& call_stats() const { return call_stats_; }
   ITC_KERNEL_QUIESCENT void ResetStats();
 

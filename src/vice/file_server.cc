@@ -3,7 +3,6 @@
 #include "src/common/logging.h"
 #include "src/common/path.h"
 #include "src/protection/access_list.h"
-#include "src/rpc/interceptor.h"
 #include "src/sim/kernel.h"
 #include "src/vice/recovery/intention_log.h"
 
@@ -139,7 +138,7 @@ recovery::RecoveryReport ViceServer::Restart(SimTime at) {
       report.replay_failures += 1;
       continue;
     }
-    if (recovery::ApplyIntention(*it->second, rec) == Status::kOk) {
+    if (recovery::ApplyIntention(*it->second, rec).ok()) {
       report.intentions_replayed += 1;
     } else {
       report.replay_failures += 1;
@@ -186,41 +185,41 @@ bool ViceServer::CrashPointHit(rpc::CrashPoint point) {
   return true;
 }
 
-uint64_t ViceServer::LogIntention(rpc::CallContext& ctx, recovery::IntentKind kind,
-                                  VolumeId volume, Bytes payload) {
-  ctx.ChargeDiskTime(cost_.LogAppendTime(payload.size()));
-  dirty_volumes_.insert(volume);
-  return store_.log().Append(kind, volume, ctx.arrival(), std::move(payload));
-}
+Result<Fid> ViceServer::LogAndApply(rpc::CallContext& ctx, Volume& vol,
+                                    recovery::IntentKind kind, Bytes payload,
+                                    content::Ref contents) {
+  if (CrashPointHit(rpc::CrashPoint::kBeforeLogAppend)) return Status::kUnavailable;
+  recovery::IntentionLog& log = store_.log();
+  const uint64_t lsn =
+      log.Append(kind, vol.id(), ctx.arrival(), std::move(payload), std::move(contents));
+  const recovery::Intention& rec = log.records().back();
+  ctx.ChargeDiskTime(cost_.LogAppendTime(rec.logged_bytes()));
+  dirty_volumes_.insert(vol.id());
+  if (CrashPointHit(rpc::CrashPoint::kAfterLogAppend)) return Status::kUnavailable;
 
-uint64_t ViceServer::LogIntention(rpc::CallContext& ctx, VolumeId volume, const Fid& fid,
-                                  content::Ref contents) {
-  ctx.ChargeDiskTime(cost_.LogAppendTime(
-      recovery::IntentionLog::LogicalStoreRecordBytes(contents.size())));
-  dirty_volumes_.insert(volume);
-  return store_.log().AppendStore(volume, ctx.arrival(), fid, std::move(contents));
-}
-
-void ViceServer::CommitIntention(rpc::CallContext& ctx, uint64_t lsn) {
+  Result<Fid> applied = recovery::ApplyIntention(vol, rec);
+  if (!applied.ok()) {
+    log.MarkAborted(lsn);
+    return applied;
+  }
   ctx.ChargeDiskTime(cost_.log_fsync);
-  store_.log().MarkCommitted(lsn);
+  log.MarkCommitted(lsn);
   committed_since_checkpoint_ += 1;
   if (config_.log_checkpoint_interval > 0 &&
       committed_since_checkpoint_ >= config_.log_checkpoint_interval) {
     // Re-dump only volumes with logged intentions since the last checkpoint;
     // every other image is already byte-identical to a fresh dump. The disk
     // charge is unchanged: the checkpoint still writes every image.
-    for (auto& [id, vol] : volumes_) {
-      if (dirty_volumes_.count(id) > 0) store_.CheckpointVolume(*vol);
+    for (auto& [id, v] : volumes_) {
+      if (dirty_volumes_.count(id) > 0) store_.CheckpointVolume(*v);
     }
     dirty_volumes_.clear();
-    store_.log().Truncate();
+    log.Truncate();
     committed_since_checkpoint_ = 0;
     ctx.ChargeDiskTime(cost_.DiskTime(store_.image_bytes()));
   }
+  return applied;
 }
-
-void ViceServer::AbortIntention(uint64_t lsn) { store_.log().MarkAborted(lsn); }
 
 uint64_t ViceServer::RetainedContentBytes(std::unordered_set<const void*>* seen) const {
   uint64_t total = 0;
@@ -568,15 +567,11 @@ Result<Bytes> ViceServer::HandleStore(rpc::CallContext& ctx, rpc::Reader& r) {
   const uint64_t size = data->size();
   // Canonicalize once: the log record and the vnode then share one ref (and
   // one interned tail) instead of holding two byte copies of the store.
-  content::Ref contents = content::Ref::Canonicalize(std::move(*data));
-  if (CrashPointHit(rpc::CrashPoint::kBeforeLogAppend)) return Status::kUnavailable;
-  const uint64_t lsn = LogIntention(ctx, fid->volume, *fid, contents);
-  if (CrashPointHit(rpc::CrashPoint::kAfterLogAppend)) return Status::kUnavailable;
-  if (Status s = vol->StoreRef(*fid, std::move(contents)); s != Status::kOk) {
-    AbortIntention(lsn);
-    return StatusReply(s);
-  }
-  CommitIntention(ctx, lsn);
+  auto stored = LogAndApply(ctx, *vol, recovery::IntentKind::kStore,
+                            recovery::EncodeStore(*fid),
+                            content::Ref::Canonicalize(std::move(*data)));
+  if (crashed_) return Status::kUnavailable;
+  if (!stored.ok()) return StatusReply(stored.status());
   ctx.ChargeDisk(size);
   ChargeAdminFile(ctx);
   ctx.ChargeCpu(cost_.ServerCopyCpu(size));
@@ -612,25 +607,11 @@ Result<Bytes> ViceServer::HandleSetStatus(rpc::CallContext& ctx, rpc::Reader& r)
   if (Status s = CheckAccess(*vol, *fid, ctx.user(), protection::kWrite); s != Status::kOk) {
     return StatusReply(s);
   }
-  if (CrashPointHit(rpc::CrashPoint::kBeforeLogAppend)) return Status::kUnavailable;
-  const uint64_t lsn = LogIntention(
-      ctx, recovery::IntentKind::kSetStatus, fid->volume,
-      recovery::EncodeSetStatus(*fid, *has_mode, static_cast<uint16_t>(*mode), *has_owner,
-                                *owner));
-  if (CrashPointHit(rpc::CrashPoint::kAfterLogAppend)) return Status::kUnavailable;
-  if (*has_mode) {
-    if (Status s = vol->SetMode(*fid, static_cast<uint16_t>(*mode)); s != Status::kOk) {
-      AbortIntention(lsn);
-      return StatusReply(s);
-    }
-  }
-  if (*has_owner) {
-    if (Status s = vol->SetOwner(*fid, *owner); s != Status::kOk) {
-      AbortIntention(lsn);
-      return StatusReply(s);
-    }
-  }
-  CommitIntention(ctx, lsn);
+  auto set = LogAndApply(ctx, *vol, recovery::IntentKind::kSetStatus,
+                         recovery::EncodeSetStatus(*fid, *has_mode, static_cast<uint16_t>(*mode),
+                                                   *has_owner, *owner));
+  if (crashed_) return Status::kUnavailable;
+  if (!set.ok()) return StatusReply(set.status());
   ChargeAdminFile(ctx);
   BreakCallbacks(*fid, ctx);
 
@@ -661,18 +642,14 @@ Result<Bytes> ViceServer::HandleCreate(rpc::CallContext& ctx, rpc::Reader& r, Pr
   // record needs no context beyond the payload itself.
   recovery::IntentKind kind = recovery::IntentKind::kCreateFile;
   Bytes payload;
-  uint16_t mode = 0;
-  AccessList acl;
-  std::string target;
   if (proc == Proc::kCreateFile) {
-    auto raw_mode = r.U32();
-    if (!raw_mode.ok()) return StatusReply(Status::kProtocolError);
-    mode = static_cast<uint16_t>(*raw_mode);
-    kind = recovery::IntentKind::kCreateFile;
-    payload = recovery::EncodeCreateFile(*dir, *name, ctx.user(), mode);
+    auto mode = r.U32();
+    if (!mode.ok()) return StatusReply(Status::kProtocolError);
+    payload = recovery::EncodeCreateFile(*dir, *name, ctx.user(), static_cast<uint16_t>(*mode));
   } else if (proc == Proc::kMakeDir) {
     auto acl_bytes = r.BytesField();
     if (!acl_bytes.ok()) return StatusReply(Status::kProtocolError);
+    AccessList acl;
     if (acl_bytes->empty()) {
       // Inherit the parent directory's access list.
       auto parent_acl = vol->EffectiveAcl(*dir);
@@ -686,30 +663,15 @@ Result<Bytes> ViceServer::HandleCreate(rpc::CallContext& ctx, rpc::Reader& r, Pr
     kind = recovery::IntentKind::kMakeDir;
     payload = recovery::EncodeMakeDir(*dir, *name, ctx.user(), acl.Serialize());
   } else {
-    auto parsed_target = r.String();
-    if (!parsed_target.ok()) return StatusReply(Status::kProtocolError);
-    target = *parsed_target;
+    auto target = r.String();
+    if (!target.ok()) return StatusReply(Status::kProtocolError);
     kind = recovery::IntentKind::kMakeSymlink;
-    payload = recovery::EncodeMakeSymlink(*dir, *name, target, ctx.user());
+    payload = recovery::EncodeMakeSymlink(*dir, *name, *target, ctx.user());
   }
 
-  if (CrashPointHit(rpc::CrashPoint::kBeforeLogAppend)) return Status::kUnavailable;
-  const uint64_t lsn = LogIntention(ctx, kind, dir->volume, std::move(payload));
-  if (CrashPointHit(rpc::CrashPoint::kAfterLogAppend)) return Status::kUnavailable;
-
-  Result<Fid> created = Status::kInternal;
-  if (proc == Proc::kCreateFile) {
-    created = vol->CreateFile(*dir, *name, ctx.user(), mode);
-  } else if (proc == Proc::kMakeDir) {
-    created = vol->MakeDir(*dir, *name, ctx.user(), acl);
-  } else {
-    created = vol->MakeSymlink(*dir, *name, target, ctx.user());
-  }
-  if (!created.ok()) {
-    AbortIntention(lsn);
-    return StatusReply(created.status());
-  }
-  CommitIntention(ctx, lsn);
+  auto created = LogAndApply(ctx, *vol, kind, std::move(payload));
+  if (crashed_) return Status::kUnavailable;
+  if (!created.ok()) return StatusReply(created.status());
 
   ctx.ChargeDisk(0);  // directory update
   ChargeAdminFile(ctx);
@@ -743,17 +705,11 @@ Result<Bytes> ViceServer::HandleRemove(rpc::CallContext& ctx, rpc::Reader& r, bo
   Fid victim = kNullFid;
   if (auto item = vol->LookupEntry(*parent, *name); item.ok()) victim = item->fid;
 
-  if (CrashPointHit(rpc::CrashPoint::kBeforeLogAppend)) return Status::kUnavailable;
-  const uint64_t lsn = LogIntention(
-      ctx, dir ? recovery::IntentKind::kRemoveDir : recovery::IntentKind::kRemoveFile,
-      parent->volume, recovery::EncodeRemove(*parent, *name));
-  if (CrashPointHit(rpc::CrashPoint::kAfterLogAppend)) return Status::kUnavailable;
-  const Status s = dir ? vol->RemoveDir(*parent, *name) : vol->RemoveFile(*parent, *name);
-  if (s != Status::kOk) {
-    AbortIntention(lsn);
-    return StatusReply(s);
-  }
-  CommitIntention(ctx, lsn);
+  auto removed = LogAndApply(
+      ctx, *vol, dir ? recovery::IntentKind::kRemoveDir : recovery::IntentKind::kRemoveFile,
+      recovery::EncodeRemove(*parent, *name));
+  if (crashed_) return Status::kUnavailable;
+  if (!removed.ok()) return StatusReply(removed.status());
 
   ctx.ChargeDisk(0);
   ChargeAdminFile(ctx);
@@ -788,16 +744,10 @@ Result<Bytes> ViceServer::HandleRename(rpc::CallContext& ctx, rpc::Reader& r) {
   Fid overwritten = kNullFid;
   if (auto item = vol->LookupEntry(*to_dir, *to_name); item.ok()) overwritten = item->fid;
 
-  if (CrashPointHit(rpc::CrashPoint::kBeforeLogAppend)) return Status::kUnavailable;
-  const uint64_t lsn =
-      LogIntention(ctx, recovery::IntentKind::kRename, from_dir->volume,
-                   recovery::EncodeRename(*from_dir, *from_name, *to_dir, *to_name));
-  if (CrashPointHit(rpc::CrashPoint::kAfterLogAppend)) return Status::kUnavailable;
-  if (Status s = vol->Rename(*from_dir, *from_name, *to_dir, *to_name); s != Status::kOk) {
-    AbortIntention(lsn);
-    return StatusReply(s);
-  }
-  CommitIntention(ctx, lsn);
+  auto renamed = LogAndApply(ctx, *vol, recovery::IntentKind::kRename,
+                             recovery::EncodeRename(*from_dir, *from_name, *to_dir, *to_name));
+  if (crashed_) return Status::kUnavailable;
+  if (!renamed.ok()) return StatusReply(renamed.status());
   ctx.ChargeDisk(0);
   ChargeAdminFile(ctx);
   BreakCallbacks(*from_dir, ctx);
@@ -819,15 +769,10 @@ Result<Bytes> ViceServer::HandleMakeMountPoint(rpc::CallContext& ctx, rpc::Reade
       s != Status::kOk) {
     return StatusReply(s);
   }
-  if (CrashPointHit(rpc::CrashPoint::kBeforeLogAppend)) return Status::kUnavailable;
-  const uint64_t lsn = LogIntention(ctx, recovery::IntentKind::kMakeMountPoint, dir->volume,
-                                    recovery::EncodeMakeMountPoint(*dir, *name, *target));
-  if (CrashPointHit(rpc::CrashPoint::kAfterLogAppend)) return Status::kUnavailable;
-  if (Status s = vol->MakeMountPoint(*dir, *name, *target); s != Status::kOk) {
-    AbortIntention(lsn);
-    return StatusReply(s);
-  }
-  CommitIntention(ctx, lsn);
+  auto mounted = LogAndApply(ctx, *vol, recovery::IntentKind::kMakeMountPoint,
+                             recovery::EncodeMakeMountPoint(*dir, *name, *target));
+  if (crashed_) return Status::kUnavailable;
+  if (!mounted.ok()) return StatusReply(mounted.status());
   ctx.ChargeDisk(0);
   BreakCallbacks(*dir, ctx);
   if (CrashPointHit(rpc::CrashPoint::kBeforeReply)) return Status::kUnavailable;
@@ -991,15 +936,10 @@ Result<Bytes> ViceServer::HandleSetAcl(rpc::CallContext& ctx, rpc::Reader& r) {
   }
   auto acl = AccessList::Deserialize(*acl_bytes);
   if (!acl.ok()) return StatusReply(Status::kProtocolError);
-  if (CrashPointHit(rpc::CrashPoint::kBeforeLogAppend)) return Status::kUnavailable;
-  const uint64_t lsn = LogIntention(ctx, recovery::IntentKind::kSetAcl, fid->volume,
-                                    recovery::EncodeSetAcl(*fid, acl->Serialize()));
-  if (CrashPointHit(rpc::CrashPoint::kAfterLogAppend)) return Status::kUnavailable;
-  if (Status s = vol->SetAcl(*fid, *acl); s != Status::kOk) {
-    AbortIntention(lsn);
-    return StatusReply(s);
-  }
-  CommitIntention(ctx, lsn);
+  auto set = LogAndApply(ctx, *vol, recovery::IntentKind::kSetAcl,
+                         recovery::EncodeSetAcl(*fid, acl->Serialize()));
+  if (crashed_) return Status::kUnavailable;
+  if (!set.ok()) return StatusReply(set.status());
   ctx.ChargeDisk(0);
   if (CrashPointHit(rpc::CrashPoint::kBeforeReply)) return Status::kUnavailable;
   return StatusReply(Status::kOk);

@@ -39,10 +39,6 @@
 #include "src/vice/recovery/stable_store.h"
 #include "src/vice/volume.h"
 
-namespace itc::rpc {
-enum class CrashPoint : uint8_t;
-}  // namespace itc::rpc
-
 namespace itc::vice {
 
 struct ViceConfig {
@@ -143,8 +139,8 @@ class ViceServer {
   ITC_KERNEL_QUIESCENT void UnregisterCallbackSink(NodeId node);
 
   // --- Statistics ---------------------------------------------------------------
-  // Derived from the endpoint's CallStats (recorded by the RPC tracing
-  // interceptor; src/rpc/call_stats.h).
+  // Derived from the endpoint's CallStats (recorded once per served call;
+  // src/rpc/call_stats.h).
   ITC_KERNEL_QUIESCENT std::map<CallClass, uint64_t> CallHistogram() const;
   ITC_KERNEL_QUIESCENT uint64_t total_calls() const;
   ITC_KERNEL_QUIESCENT void ResetStats();
@@ -185,24 +181,23 @@ class ViceServer {
   void ChargeAdminFile(rpc::CallContext& ctx);
   void NoteVolumeAccess(VolumeId volume, NodeId client);
 
-  // --- Intention-log plumbing used by the mutating handlers -----------------
+  // --- Mutations -------------------------------------------------------------
   // Polls the fault injector for an armed crash at `point`. On a hit the
   // server crashes (SimulateCrash) and this returns true; the handler must
   // return Status::kUnavailable immediately without touching any server
   // state — its `vol` pointer and parsed fids are dead.
   bool CrashPointHit(rpc::CrashPoint point);
-  // Appends an intention (state kLogged), charging the log write to ctx.
-  uint64_t LogIntention(rpc::CallContext& ctx, recovery::IntentKind kind, VolumeId volume,
-                        Bytes payload);
-  // Store overload: the record carries `contents` by reference (shared with
-  // the vnode), but the disk charge is the logical record size — identical
-  // to what the byte-copying encoding measured.
-  uint64_t LogIntention(rpc::CallContext& ctx, VolumeId volume, const Fid& fid,
-                        content::Ref contents);
-  // Marks `lsn` committed (fsync charge) and checkpoints every volume once
-  // log_checkpoint_interval committed intentions have accumulated.
-  void CommitIntention(rpc::CallContext& ctx, uint64_t lsn);
-  void AbortIntention(uint64_t lsn);
+  // The one way a handler mutates a volume. Polls kBeforeLogAppend, appends
+  // the intention (charging the log write to ctx), polls kAfterLogAppend,
+  // then applies the record with recovery::ApplyIntention — the function
+  // Restart replays it with — and aborts it if the volume refused or commits
+  // it (fsync charge, and a checkpoint of the dirty volumes every
+  // log_checkpoint_interval commits). Returns ApplyIntention's fid or the
+  // volume's error. If a crash point fired, crashed() is true and the
+  // handler must return kUnavailable at once, as after CrashPointHit.
+  [[nodiscard]] Result<Fid> LogAndApply(rpc::CallContext& ctx, Volume& vol,
+                                        recovery::IntentKind kind, Bytes payload,
+                                        content::Ref contents = {});
 
   // Handlers. Read-only handlers return the reply bytes directly; mutating
   // handlers return Result<Bytes> so an armed crash point can abort the call

@@ -25,33 +25,17 @@ const char* IntentKindName(IntentKind k) {
   return "?";
 }
 
-uint64_t IntentionLog::Append(IntentKind kind, VolumeId volume, SimTime when,
-                              Bytes payload) {
+uint64_t IntentionLog::Append(IntentKind kind, VolumeId volume, SimTime when, Bytes payload,
+                              content::Ref contents) {
   Intention rec;
   rec.lsn = next_lsn_++;
   rec.kind = kind;
   rec.volume = volume;
   rec.when = when;
   rec.state = IntentState::kLogged;
-  bytes_appended_ += payload.size();
   rec.payload = std::move(payload);
-  records_.push_back(std::move(rec));
-  return records_.back().lsn;
-}
-
-uint64_t IntentionLog::AppendStore(VolumeId volume, SimTime when, const Fid& fid,
-                                   content::Ref contents) {
-  Intention rec;
-  rec.lsn = next_lsn_++;
-  rec.kind = IntentKind::kStore;
-  rec.volume = volume;
-  rec.when = when;
-  rec.state = IntentState::kLogged;
-  bytes_appended_ += LogicalStoreRecordBytes(contents.size());
-  rpc::Writer w;
-  w.PutFid(fid);
-  rec.payload = w.Take();
   rec.contents = std::move(contents);
+  bytes_appended_ += rec.logged_bytes();
   records_.push_back(std::move(rec));
   return records_.back().lsn;
 }
@@ -77,10 +61,9 @@ void IntentionLog::MarkAborted(uint64_t lsn) {
   rec->state = IntentState::kAborted;
 }
 
-Bytes EncodeStore(const Fid& fid, const Bytes& data) {
+Bytes EncodeStore(const Fid& fid) {
   rpc::Writer w;
   w.PutFid(fid);
-  w.PutBytes(data);
   return w.Take();
 }
 
@@ -157,24 +140,21 @@ Bytes EncodeMakeMountPoint(const Fid& dir, const std::string& name, VolumeId tar
   return w.Take();
 }
 
-Status ApplyIntention(Volume& vol, const Intention& rec) {
+Result<Fid> ApplyIntention(Volume& vol, const Intention& rec) {
   vol.set_now(rec.when);
   rpc::Reader r(rec.payload);
   switch (rec.kind) {
     case IntentKind::kStore: {
       ASSIGN_OR_RETURN(Fid fid, r.FidField());
-      // AppendStore records end at the fid and carry the contents as a ref;
-      // EncodeStore records (legacy/test-crafted) carry literal bytes.
-      if (r.AtEnd()) return vol.StoreRef(fid, rec.contents);
-      ASSIGN_OR_RETURN(Bytes data, r.BytesField());
-      return vol.StoreData(fid, std::move(data));
+      RETURN_IF_ERROR(vol.StoreRef(fid, rec.contents));
+      return fid;
     }
     case IntentKind::kCreateFile: {
       ASSIGN_OR_RETURN(Fid dir, r.FidField());
       ASSIGN_OR_RETURN(std::string name, r.String());
       ASSIGN_OR_RETURN(uint32_t owner, r.U32());
       ASSIGN_OR_RETURN(uint32_t mode, r.U32());
-      return vol.CreateFile(dir, name, owner, static_cast<uint16_t>(mode)).status();
+      return vol.CreateFile(dir, name, owner, static_cast<uint16_t>(mode));
     }
     case IntentKind::kMakeDir: {
       ASSIGN_OR_RETURN(Fid dir, r.FidField());
@@ -183,31 +163,30 @@ Status ApplyIntention(Volume& vol, const Intention& rec) {
       ASSIGN_OR_RETURN(Bytes acl_bytes, r.BytesField());
       ASSIGN_OR_RETURN(protection::AccessList acl,
                        protection::AccessList::Deserialize(acl_bytes));
-      return vol.MakeDir(dir, name, owner, acl).status();
+      return vol.MakeDir(dir, name, owner, acl);
     }
     case IntentKind::kMakeSymlink: {
       ASSIGN_OR_RETURN(Fid dir, r.FidField());
       ASSIGN_OR_RETURN(std::string name, r.String());
       ASSIGN_OR_RETURN(std::string target, r.String());
       ASSIGN_OR_RETURN(uint32_t owner, r.U32());
-      return vol.MakeSymlink(dir, name, target, owner).status();
+      return vol.MakeSymlink(dir, name, target, owner);
     }
-    case IntentKind::kRemoveFile: {
-      ASSIGN_OR_RETURN(Fid dir, r.FidField());
-      ASSIGN_OR_RETURN(std::string name, r.String());
-      return vol.RemoveFile(dir, name);
-    }
+    case IntentKind::kRemoveFile:
     case IntentKind::kRemoveDir: {
       ASSIGN_OR_RETURN(Fid dir, r.FidField());
       ASSIGN_OR_RETURN(std::string name, r.String());
-      return vol.RemoveDir(dir, name);
+      RETURN_IF_ERROR(rec.kind == IntentKind::kRemoveDir ? vol.RemoveDir(dir, name)
+                                                         : vol.RemoveFile(dir, name));
+      return dir;
     }
     case IntentKind::kRename: {
       ASSIGN_OR_RETURN(Fid from_dir, r.FidField());
       ASSIGN_OR_RETURN(std::string from_name, r.String());
       ASSIGN_OR_RETURN(Fid to_dir, r.FidField());
       ASSIGN_OR_RETURN(std::string to_name, r.String());
-      return vol.Rename(from_dir, from_name, to_dir, to_name);
+      RETURN_IF_ERROR(vol.Rename(from_dir, from_name, to_dir, to_name));
+      return to_dir;
     }
     case IntentKind::kSetStatus: {
       ASSIGN_OR_RETURN(Fid fid, r.FidField());
@@ -217,20 +196,22 @@ Status ApplyIntention(Volume& vol, const Intention& rec) {
       ASSIGN_OR_RETURN(uint32_t owner, r.U32());
       if (set_mode) RETURN_IF_ERROR(vol.SetMode(fid, static_cast<uint16_t>(mode)));
       if (set_owner) RETURN_IF_ERROR(vol.SetOwner(fid, owner));
-      return Status::kOk;
+      return fid;
     }
     case IntentKind::kSetAcl: {
       ASSIGN_OR_RETURN(Fid dir, r.FidField());
       ASSIGN_OR_RETURN(Bytes acl_bytes, r.BytesField());
       ASSIGN_OR_RETURN(protection::AccessList acl,
                        protection::AccessList::Deserialize(acl_bytes));
-      return vol.SetAcl(dir, acl);
+      RETURN_IF_ERROR(vol.SetAcl(dir, acl));
+      return dir;
     }
     case IntentKind::kMakeMountPoint: {
       ASSIGN_OR_RETURN(Fid dir, r.FidField());
       ASSIGN_OR_RETURN(std::string name, r.String());
       ASSIGN_OR_RETURN(uint32_t target, r.U32());
-      return vol.MakeMountPoint(dir, name, target);
+      RETURN_IF_ERROR(vol.MakeMountPoint(dir, name, target));
+      return dir;
     }
   }
   return Status::kInvalidArgument;

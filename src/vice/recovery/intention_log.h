@@ -11,10 +11,13 @@
 // store-on-close atomicity of Section 3.5 (a Store is either fully visible
 // or absent, never torn).
 //
-// Replay is deterministic: volume fid counters are restored from the
-// checkpoint dump, records carry the server clock at append time, and
-// re-executing records in LSN order reproduces identical fids, versions and
-// mtimes.
+// Live == replay: a live mutation is applied by ApplyIntention on the record
+// it just logged (ViceServer::LogAndApply), the same function Restart replays
+// it with, so a replayed volume is the live one by construction. Replay is
+// deterministic: volume fid counters are restored from the checkpoint dump,
+// records carry the server clock at append time (the call's arrival, which
+// the live apply also runs at), and re-executing records in LSN order
+// reproduces identical fids, versions and mtimes.
 
 #ifndef SRC_VICE_RECOVERY_INTENTION_LOG_H_
 #define SRC_VICE_RECOVERY_INTENTION_LOG_H_
@@ -62,11 +65,17 @@ struct Intention {
   SimTime when = 0;  // server clock at append; replay re-installs it
   IntentState state = IntentState::kLogged;
   Bytes payload;  // op-specific encoding (Encode* below)
-  // kStore via AppendStore only: the stored contents by reference — the log
-  // shares the volume's (interned) buffers instead of holding a byte copy
-  // until the next checkpoint truncates it. The *modeled* log traffic is
-  // still the logical record (see AppendStore); only host memory changes.
+  // kStore only: the stored contents by reference — the log shares the
+  // volume's (interned) buffers instead of holding a byte copy until the
+  // next checkpoint truncates it.
   content::Ref contents;
+
+  // Modeled log traffic of this record: the payload, plus for kStore the
+  // length-prefixed bytes `contents` stands for. The representation only
+  // changes host memory, never a simulated time.
+  uint64_t logged_bytes() const {
+    return payload.size() + (kind == IntentKind::kStore ? 4 + contents.size() : 0);
+  }
 };
 
 // An append-only record list. In a real server this would be an fsync'd
@@ -74,14 +83,10 @@ struct Intention {
 // makes against the server disk resource.
 class IntentionLog {
  public:
-  // Appends a new record in state kLogged and returns its LSN.
-  uint64_t Append(IntentKind kind, VolumeId volume, SimTime when, Bytes payload);
-  // Appends a kStore record carrying `contents` by reference. bytes_appended
-  // (and the caller's disk charge) must stay what the materialized encoding
-  // EncodeStore(fid, bytes) would have measured, so the representation can
-  // never change simulated times; LogicalStoreRecordBytes is that size.
-  uint64_t AppendStore(VolumeId volume, SimTime when, const Fid& fid, content::Ref contents);
-  static uint64_t LogicalStoreRecordBytes(uint64_t data_size) { return 12 + 4 + data_size; }
+  // Appends a new record in state kLogged and returns its LSN. `contents`
+  // is a kStore record's data.
+  uint64_t Append(IntentKind kind, VolumeId volume, SimTime when, Bytes payload,
+                  content::Ref contents = {});
   void MarkCommitted(uint64_t lsn);
   void MarkAborted(uint64_t lsn);
 
@@ -92,7 +97,7 @@ class IntentionLog {
   bool empty() const { return records_.empty(); }
   const std::vector<Intention>& records() const { return records_; }
 
-  // Total payload bytes appended over the log's lifetime (for stats).
+  // Total logged_bytes() appended over the log's lifetime (for stats).
   uint64_t bytes_appended() const { return bytes_appended_; }
 
  private:
@@ -105,10 +110,9 @@ class IntentionLog {
 
 // --- Payload encoders --------------------------------------------------------
 // One per IntentKind. MakeDir ACL inheritance is resolved by the caller
-// before logging so replay needs no out-of-band context.
-// EncodeStore is the legacy byte-copying form; the server logs stores via
-// AppendStore (ref-carrying) instead. Replay accepts both.
-Bytes EncodeStore(const Fid& fid, const Bytes& data);
+// before logging so replay needs no out-of-band context. A store's payload
+// is its fid; the data rides in Intention::contents.
+Bytes EncodeStore(const Fid& fid);
 Bytes EncodeCreateFile(const Fid& dir, const std::string& name, UserId owner, uint16_t mode);
 Bytes EncodeMakeDir(const Fid& dir, const std::string& name, UserId owner,
                     const Bytes& acl_bytes);
@@ -122,10 +126,11 @@ Bytes EncodeSetStatus(const Fid& fid, bool set_mode, uint16_t mode, bool set_own
 Bytes EncodeSetAcl(const Fid& dir, const Bytes& acl_bytes);
 Bytes EncodeMakeMountPoint(const Fid& dir, const std::string& name, VolumeId target);
 
-// Re-executes one committed intention against `vol` during recovery.
-// Decodes the payload and invokes the corresponding Volume operation with
-// the record's logged clock installed.
-[[nodiscard]] Status ApplyIntention(Volume& vol, const Intention& rec);
+// Applies one intention to `vol`: live, right after it is logged, and again
+// on recovery replay. Decodes the payload and invokes the corresponding
+// Volume operation with the record's logged clock installed. Returns the
+// created fid (CreateFile, MakeDir, MakeSymlink) or the fid operated on.
+[[nodiscard]] Result<Fid> ApplyIntention(Volume& vol, const Intention& rec);
 
 }  // namespace itc::vice::recovery
 

@@ -1,6 +1,7 @@
 #include "src/workload/populate.h"
 
 #include "src/common/content.h"
+#include "src/common/path.h"
 #include "src/common/rng.h"
 #include "src/workload/source_tree.h"
 #include "src/workload/synthetic_user.h"
@@ -19,7 +20,7 @@ Status PopulateUserFiles(campus::Campus& campus, VolumeId user_volume, uint32_t 
   for (uint32_t i = 0; i < count; ++i) {
     const uint64_t size = SampleFileSize(FileClass::kUserData, rng);
     RETURN_IF_ERROR(campus.PopulateDirect(user_volume,
-                                          "/" + SyntheticUser::OwnFileName(i),
+                                          PathConcat("/", SyntheticUser::OwnFileName(i)),
                                           content::Ref::ForSeed(seed ^ i, size)));
   }
   return Status::kOk;

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
-#include "src/rpc/interceptor.h"
+#include "src/rpc/rpc.h"
 
 namespace itc::baseline {
 namespace {
@@ -97,10 +97,10 @@ TEST_F(RemoteOpenTest, MissingFileAndBadHandle) {
 
 TEST_F(RemoteOpenTest, FaultInjectionTargetsOneCallClass) {
   ASSERT_EQ(client_.WriteWholeFile("/f", ToBytes("data")), Status::kOk);
-  rpc::RpcConfig config;
-  config.fault.error_probability = 1;
-  config.fault.only_class = rpc::CallClass::kFetch;
-  server_.endpoint().set_config(config);
+  rpc::FaultConfig fault;
+  fault.error_probability = 1;
+  fault.only_class = rpc::CallClass::kFetch;
+  server_.endpoint().fault().set_config(fault);
   // Page reads are fetches and fail; stat, open and close are not.
   EXPECT_TRUE(client_.Stat("/f").ok());
   auto h = client_.Open("/f", false);

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "src/campus/campus.h"
-#include "src/rpc/interceptor.h"
+#include "src/rpc/rpc.h"
 
 namespace itc {
 namespace {
@@ -140,13 +140,13 @@ TEST_P(CrashRecoveryTest, MidStormCrashesConvergeAtEveryPoint) {
     // rotating crash point.
     if (i % 8 == 4) campus_->server(0).endpoint().fault().ArmCrash(points[(i / 8) % 3]);
 
-    if (ws_a.WriteWholeFile(fa, ToBytes("A" + std::to_string(i))) == Status::kOk) {
-      acked[fa] = "A" + std::to_string(i);
+    if (ws_a.WriteWholeFile(fa, ToBytes(Numbered("A", i))) == Status::kOk) {
+      acked[fa] = Numbered("A", i);
     }
     if (campus_->server(0).crashed()) RestartServerZero();
     // Server 1 is never crashed: b's traffic must be entirely untouched.
-    ASSERT_EQ(ws_b.WriteWholeFile(fb, ToBytes("B" + std::to_string(i))), Status::kOk);
-    acked[fb] = "B" + std::to_string(i);
+    ASSERT_EQ(ws_b.WriteWholeFile(fb, ToBytes(Numbered("B", i))), Status::kOk);
+    acked[fb] = Numbered("B", i);
   }
 
   // Convergence: every acknowledged write is durable and readable by a fresh

@@ -72,7 +72,7 @@ DayResult RunDay(sim::SchedulerMode mode, sim::KernelBackend backend) {
   const net::Topology& topo = campus.network().topology();
   std::vector<std::unique_ptr<workload::SyntheticUser>> users;
   for (uint32_t w = 0; w < campus.workstation_count(); ++w) {
-    const std::string name = "u" + std::to_string(w);
+    const std::string name = Numbered("u", w);
     auto home = campus.AddUserWithHome(name, "pw-" + name, campus.HomeServerOf(w));
     EXPECT_TRUE(home.ok());
     EXPECT_EQ(workload::PopulateUserFiles(campus, home->volume, day.own_files,

@@ -82,7 +82,7 @@ void RandomOp(Volume& vol, Rng& rng, SimTime now) {
     if (e.item.kind == DirItem::Kind::kDirectory) dirs.push_back(e.item.fid);
   }
   const Fid dir = dirs[rng.Below(dirs.size())];
-  const std::string name = "n" + std::to_string(rng.Below(10));
+  const std::string name = Numbered("n", rng.Below(10));
   const Entry* victim = entries.empty() ? nullptr : &entries[rng.Below(entries.size())];
 
   switch (rng.Below(13)) {

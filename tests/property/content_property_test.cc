@@ -125,7 +125,7 @@ TEST_P(ContentPropertyTest, StoreOverwritesMatchModelInBothRepresentations) {
     Volume vol(3, "prop", VolumeType::kReadWrite, kAnonymousUser, OpenAcl(), 0);
     std::vector<Fid> fids;
     for (int f = 0; f < kFiles; ++f) {
-      fids.push_back(*vol.CreateFile(vol.root(), "f" + std::to_string(f), kAnonymousUser, 0644));
+      fids.push_back(*vol.CreateFile(vol.root(), Numbered("f", f), kAnonymousUser, 0644));
     }
     std::map<int, Bytes> model;
     for (const Op& op : ops) {
@@ -178,7 +178,7 @@ TEST_P(ContentPropertyTest, DumpRestoreRoundTripsLazyContents) {
   Volume vol(6, "dump", VolumeType::kReadWrite, kAnonymousUser, OpenAcl(), 0);
   std::vector<std::pair<Fid, Bytes>> files;
   for (int i = 0; i < 12; ++i) {
-    const Fid fid = *vol.CreateFile(vol.root(), "f" + std::to_string(i), kAnonymousUser, 0644);
+    const Fid fid = *vol.CreateFile(vol.root(), Numbered("f", i), kAnonymousUser, 0644);
     Bytes data = MakePayload(rng, 1 + rng.Below(10000));
     ASSERT_EQ(vol.StoreData(fid, Bytes(data)), Status::kOk);
     files.emplace_back(fid, std::move(data));

@@ -36,7 +36,7 @@ void Churn(Volume& vol, Rng& rng, int steps) {
   for (int step = 0; step < steps; ++step) {
     vol.set_now(static_cast<SimTime>(step) * 17 + 1);
     const Fid dir = dirs[rng.Below(dirs.size())];
-    const std::string name = "n" + std::to_string(rng.Below(12));
+    const std::string name = Numbered("n", rng.Below(12));
     switch (rng.Below(6)) {
       case 0: {  // create file
         auto f = vol.CreateFile(dir, name, kAnonymousUser, 0644);
@@ -72,7 +72,7 @@ void Churn(Volume& vol, Rng& rng, int steps) {
         if (files.empty()) break;
         const size_t i = rng.Below(files.size());
         const Fid to_dir = dirs[rng.Below(dirs.size())];
-        const std::string to_name = "r" + std::to_string(rng.Below(12));
+        const std::string to_name = Numbered("r", rng.Below(12));
         if (vol.Rename(files[i].first, files[i].second, to_dir, to_name) == Status::kOk) {
           files[i] = {to_dir, to_name};
         }

@@ -116,7 +116,7 @@ TEST_P(FuzzDispatchTest, HostileMutationsBounceOffProtection) {
     rpc::Writer w;
     w.PutFid(rng.Chance(0.5) ? vice::VolumeRootFid(home_.volume)
                              : vice::VolumeRootFid(root_vol));
-    w.PutString("x" + std::to_string(i));
+    w.PutString(Numbered("x", i));
     if (rng.Chance(0.5)) w.PutU32(0777);
     const uint32_t mutators[] = {13, 20, 21, 23, 24, 31};
     (void)(*conn)->Call(mutators[rng.Below(std::size(mutators))], w.Take());

@@ -44,7 +44,7 @@ TEST_P(UnixFsPropertyTest, RandomOpsMatchShadowModel) {
     const std::string path = random_path();
     switch (rng.Below(4)) {
       case 0: {  // write
-        std::string contents = "c" + std::to_string(rng.Below(1000));
+        std::string contents = Numbered("c", rng.Below(1000));
         Status s = fs.WriteFile(path, ToBytes(contents));
         if (s == Status::kOk) shadow[path] = contents;
         break;
@@ -114,11 +114,11 @@ TEST_P(VolumePropertyTest, ChurnKeepsSalvageCleanAndQuotaExact) {
     const Fid dir = dirs[rng.Below(dirs.size())];
     switch (rng.Below(5)) {
       case 0: {  // create file
-        (void)vol.CreateFile(dir, "f" + std::to_string(rng.Below(1000)), 1, 0644);
+        (void)vol.CreateFile(dir, Numbered("f", rng.Below(1000)), 1, 0644);
         break;
       }
       case 1: {  // mkdir
-        auto fid = vol.MakeDir(dir, "d" + std::to_string(rng.Below(50)), 1, acl);
+        auto fid = vol.MakeDir(dir, Numbered("d", rng.Below(50)), 1, acl);
         if (fid.ok()) dirs.push_back(*fid);
         break;
       }
@@ -205,7 +205,7 @@ TEST_P(ConvergencePropertyTest, ClientsConvergeToServerTruth) {
     auto& ws = campus.workstation(rng.Below(3));
     const std::string path = "/vice/usr/shared/f" + std::to_string(rng.Below(5));
     if (rng.Chance(0.4)) {
-      const std::string contents = "v" + std::to_string(step);
+      const std::string contents = Numbered("v", step);
       if (ws.WriteWholeFile(path, ToBytes(contents)) == Status::kOk) {
         last_written[path] = contents;
       }

@@ -1,8 +1,6 @@
-// Tests for the RPC interceptor chain: per-op tracing into CallStats, the
-// client-stub retry/deadline interceptors (§3.5.3 — idempotent ops only are
-// resent; mutators run at most once), and seeded server-side fault injection.
-
-#include "src/rpc/interceptor.h"
+// Tests for the RPC call path: per-op tracing into CallStats, the client
+// stub's retries and deadline (§3.5.3 — idempotent ops only are resent;
+// mutators run at most once), and the server endpoint's fault injector.
 
 #include <gtest/gtest.h>
 
@@ -284,6 +282,129 @@ TEST(FailCallsTest, SkipsThenFailsExactlyCountCalls) {
   EXPECT_TRUE((*conn)->Call(1, ToBytes("b")).ok());
   EXPECT_EQ((*conn)->Call(1, ToBytes("c")).status(), Status::kConnectionBroken);
   EXPECT_TRUE((*conn)->Call(1, ToBytes("d")).ok());
+}
+
+// --- Call-path semantics -----------------------------------------------------
+
+// Proc 1: idempotent echo. Proc 2: idempotent, charges 500ms of server CPU.
+// Proc 3: a mutator (not idempotent) that counts its executions.
+const OpSchema& CallPathSchema() {
+  static const OpSchema schema("call-path", {{1, "Echo", CallClass::kFetch, true},
+                                             {2, "SlowEcho", CallClass::kFetch, true},
+                                             {3, "Store", CallClass::kStore, false}});
+  return schema;
+}
+
+class CallPathTest : public ::testing::Test {
+ protected:
+  CallPathTest()
+      : topo_(net::TopologyConfig{1, 1, 2}),
+        cost_(sim::CostModel::Default1985()),
+        network_(topo_, cost_),
+        key_(crypto::DeriveKeyFromPassword("pw", "realm")) {
+    for (uint32_t proc : {1u, 2u, 3u}) {
+      registry_.Bind(proc, [this, proc](CallContext& ctx, const Bytes&) -> Result<Bytes> {
+        if (proc == 2) ctx.ChargeCpu(Millis(500));
+        if (proc == 3) stores_ += 1;
+        return StatusOnlyReply(Status::kOk);
+      });
+    }
+  }
+
+  void Start(const RpcConfig& config) {
+    server_ = std::make_unique<ServerEndpoint>(
+        topo_.ServerNode(0, 0), &network_, cost_, config,
+        [this](UserId) -> std::optional<crypto::Key> { return key_; }, 999);
+    server_->set_registry(&registry_);
+    auto conn = ClientConnection::Connect(topo_.WorkstationNode(0, 0), 7, key_,
+                                          server_.get(), &network_, cost_, &clock_, 555,
+                                          ClientOptions{&CallPathSchema(), &client_stats_});
+    ASSERT_TRUE(conn.ok());
+    conn_ = std::move(*conn);
+  }
+
+  static uint64_t Count(const OpStats* op, Status outcome) {
+    auto it = op->error_codes.find(outcome);
+    return it == op->error_codes.end() ? 0 : it->second;
+  }
+
+  net::Topology topo_;
+  sim::CostModel cost_;
+  net::Network network_;
+  crypto::Key key_;
+  OpRegistry registry_{&CallPathSchema()};
+  sim::Clock clock_;
+  CallStats client_stats_;
+  int stores_ = 0;
+  std::unique_ptr<ServerEndpoint> server_;
+  std::unique_ptr<ClientConnection> conn_;
+};
+
+TEST_F(CallPathTest, DroppedIdempotentReplyIsOneClientCallSpanningBothAttempts) {
+  RpcConfig config;
+  config.retry.max_retries = 2;
+  Start(config);
+
+  SimTime start = clock_.now();
+  ASSERT_TRUE(conn_->Call(1, Bytes{}).ok());
+  const SimTime clean = clock_.now() - start;
+  client_stats_.Reset();
+  server_->ResetStats();
+
+  server_->fault().DropNextReplies(1);
+  start = clock_.now();
+  ASSERT_TRUE(conn_->Call(1, Bytes{}).ok());
+  const SimTime elapsed = clock_.now() - start;
+
+  // The client records the whole call once, as its caller saw it: the lost
+  // attempt, the 20ms backoff and the clean retry.
+  const OpStats* client = client_stats_.Find(1);
+  ASSERT_NE(client, nullptr);
+  EXPECT_EQ(client->calls, 1u);
+  EXPECT_EQ(client->errors, 0u);
+  EXPECT_EQ(client->latency.sum(), elapsed);
+  EXPECT_GT(elapsed, clean + Millis(20));
+  EXPECT_LE(elapsed, 2 * clean + Millis(20));
+
+  // The server served both attempts.
+  const OpStats* served = server_->call_stats().Find(1);
+  ASSERT_NE(served, nullptr);
+  EXPECT_EQ(served->calls, 2u);
+  EXPECT_EQ(Count(served, Status::kUnavailable), 1u);
+}
+
+TEST_F(CallPathTest, DeadlineAppliesToEveryAttempt) {
+  RpcConfig config;
+  config.retry.max_retries = 2;
+  config.call_deadline = Millis(100);
+  Start(config);
+
+  EXPECT_EQ(conn_->Call(2, Bytes{}).status(), Status::kTimedOut);
+
+  const OpStats* served = server_->call_stats().Find(2);
+  ASSERT_NE(served, nullptr);
+  EXPECT_EQ(served->calls, 1u + config.retry.max_retries);
+  const OpStats* client = client_stats_.Find(2);
+  ASSERT_NE(client, nullptr);
+  EXPECT_EQ(client->calls, 1u);
+  EXPECT_EQ(Count(client, Status::kTimedOut), 1u);
+}
+
+TEST_F(CallPathTest, DroppedStoreReplyIsOneServerCallThatApplied) {
+  RpcConfig config;
+  config.retry.max_retries = 2;
+  Start(config);
+
+  server_->fault().DropNextReplies(1, CallClass::kStore);
+  EXPECT_EQ(conn_->Call(3, Bytes{}).status(), Status::kUnavailable);
+
+  EXPECT_EQ(stores_, 1);  // applied once, never resent
+  const OpStats* served = server_->call_stats().Find(3);
+  ASSERT_NE(served, nullptr);
+  EXPECT_EQ(served->calls, 1u);
+  EXPECT_EQ(served->errors, 1u);
+  EXPECT_EQ(Count(served, Status::kUnavailable), 1u);
+  EXPECT_GT(served->latency.max(), 0);
 }
 
 }  // namespace

@@ -117,7 +117,7 @@ TEST(KernelGroupTest, ManyCrossShardActivitiesAllComplete) {
     std::atomic<int> done{0};
     for (uint32_t d = 0; d < 4; ++d) {
       for (int i = 0; i < 8; ++i) {
-        group.Spawn(d, "w" + std::to_string(d) + "." + std::to_string(i),
+        group.Spawn(d, Numbered("w", d) + "." + std::to_string(i),
                     i * 1'000, [&, d] {
                       KernelGroup* g = KernelGroup::Current();
                       for (uint32_t hop = 1; hop <= 3; ++hop) {

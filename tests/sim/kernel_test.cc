@@ -122,23 +122,6 @@ TEST(KernelTest, StragglerIsServedInArrivalOrder) {
   EXPECT_EQ(cpu.busy_time(), 105);
 }
 
-// The same scenario under the retained call-order baseline documents the
-// error the kernel removes: B completes at 155 instead of 15. This is the
-// "fails against a call-order Resource" half of the regression pair — the
-// assertions of StragglerIsServedInArrivalOrder do not hold here.
-TEST(KernelTest, ConservativeBaselineExhibitsCallOrderError) {
-  Resource cpu("cpu");
-  ThinkThenWork a(&cpu, 0, 50, 100);
-  ThinkThenWork b(&cpu, 10, 0, 5);
-  Scheduler sched;
-  sched.set_mode(SchedulerMode::kConservative);
-  sched.Add(&a);
-  sched.Add(&b);
-  sched.RunAll();
-  EXPECT_EQ(a.now(), 150);
-  EXPECT_EQ(b.now(), 155);  // queued behind A's logically-later demand
-}
-
 // A three-stage operation (net, cpu, disk) interleaves with another client
 // at every stage boundary; completions follow exact per-resource FCFS.
 TEST(KernelTest, StagedOperationsInterleavePerResource) {

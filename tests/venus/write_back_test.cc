@@ -42,7 +42,7 @@ TEST_F(WriteBackTest, DeferredQueuesAndCoalesces) {
   Build(VenusConfig::WriteBack::kDeferred, /*max_dirty=*/10);
   // Five edits of the same file: zero stores, one dirty entry.
   for (int i = 0; i < 5; ++i) {
-    ASSERT_EQ(ws_->WriteWholeFile("/vice/usr/w/f", ToBytes("v" + std::to_string(i))),
+    ASSERT_EQ(ws_->WriteWholeFile("/vice/usr/w/f", ToBytes(Numbered("v", i))),
               Status::kOk);
   }
   EXPECT_EQ(ws_->venus().stats().stores, 0u);

@@ -4,10 +4,12 @@
 // must not survive recovery), and the volatile/durable state split of
 // SimulateCrash/Restart.
 
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "src/common/logging.h"
-#include "src/rpc/interceptor.h"
+#include "src/rpc/rpc.h"
 #include "src/rpc/wire.h"
 #include "src/vice/file_server.h"
 #include "src/vice/recovery/intention_log.h"
@@ -30,7 +32,8 @@ TEST(IntentionLogTest, AppendCommitAbortLifecycle) {
   EXPECT_TRUE(log.empty());
 
   const Fid fid{1, 2, 3};
-  const uint64_t a = log.Append(IntentKind::kStore, 1, 10, recovery::EncodeStore(fid, ToBytes("x")));
+  const uint64_t a = log.Append(IntentKind::kStore, 1, 10, recovery::EncodeStore(fid),
+                                content::Ref::Canonicalize(ToBytes("x")));
   const uint64_t b = log.Append(IntentKind::kRemoveFile, 1, 20, recovery::EncodeRemove(fid, "f"));
   const uint64_t c = log.Append(IntentKind::kSetAcl, 1, 30, recovery::EncodeSetAcl(fid, Bytes{}));
   EXPECT_LT(a, b);
@@ -50,7 +53,7 @@ TEST(IntentionLogTest, AppendCommitAbortLifecycle) {
   // bytes_appended counts lifetime log traffic, not live records.
   EXPECT_EQ(log.bytes_appended(), bytes_before);
   // LSNs keep increasing across truncation.
-  EXPECT_GT(log.Append(IntentKind::kStore, 1, 40, recovery::EncodeStore(fid, Bytes{})), c);
+  EXPECT_GT(log.Append(IntentKind::kStore, 1, 40, recovery::EncodeStore(fid)), c);
 }
 
 TEST(IntentionLogTest, ApplyIntentionReplaysAStore) {
@@ -60,10 +63,10 @@ TEST(IntentionLogTest, ApplyIntentionReplaysAStore) {
   Fid f = *vol.CreateFile(vol.root(), "f", kAnonymousUser, 0644);
 
   IntentionLog log;
-  const uint64_t lsn =
-      log.Append(IntentKind::kStore, 7, 99, recovery::EncodeStore(f, ToBytes("replayed")));
+  const uint64_t lsn = log.Append(IntentKind::kStore, 7, 99, recovery::EncodeStore(f),
+                                  content::Ref::Canonicalize(ToBytes("replayed")));
   log.MarkCommitted(lsn);
-  ASSERT_EQ(recovery::ApplyIntention(vol, log.records()[0]), Status::kOk);
+  ASSERT_EQ(recovery::ApplyIntention(vol, log.records()[0]).status(), Status::kOk);
   EXPECT_EQ(ToString(*vol.FetchData(f)), "replayed");
   // The replay stamped the record's time onto the volume clock.
   EXPECT_EQ((*vol.Lookup(f))->status.mtime, 99);
@@ -131,6 +134,14 @@ class RecoveryTest : public ::testing::Test {
     RETURN_IF_ERROR(rpc::ExpectOk(r));
     RETURN_IF_ERROR(ReadVnodeStatus(r).status());
     return r.BytesField();
+  }
+
+  // Issues `proc` with the request in `w`; the reply, or its failure status.
+  Result<Bytes> CallOk(rpc::ClientConnection* conn, Proc proc, rpc::Writer& w) {
+    ASSIGN_OR_RETURN(Bytes reply, conn->Call(static_cast<uint32_t>(proc), w.Take()));
+    rpc::Reader r(reply);
+    RETURN_IF_ERROR(rpc::ExpectOk(r));
+    return reply;
   }
 
   Result<uint32_t> ProbeEpoch(rpc::ClientConnection* conn) {
@@ -259,7 +270,7 @@ TEST_F(RecoveryTest, CheckpointIntervalBoundsTheLog) {
   auto conn = Connect();
   Fid f = *CreateFile(conn.get(), "f");
   for (int i = 0; i < 7; ++i) {
-    ASSERT_EQ(Store(conn.get(), f, "v" + std::to_string(i)), Status::kOk);
+    ASSERT_EQ(Store(conn.get(), f, Numbered("v", i)), Status::kOk);
   }
   // Every second commit re-dumps the volumes and truncates, so the log never
   // holds more than one full interval.
@@ -290,7 +301,9 @@ TEST_F(RecoveryTest, ProbeEpochReportsRestarts) {
 TEST_F(RecoveryTest, DirectoryOpsReplayDeterministically) {
   auto conn = Connect();
 
-  // A mixed mutation history: mkdir, create, store, rename, remove.
+  // A mutation history covering every intention kind, each through its RPC
+  // handler: mkdir, create, store, rename, set-status, symlink, remove-file,
+  // remove-dir, set-acl, make-mount-point.
   rpc::Writer mk;
   mk.PutFid(VolumeRootFid(vol_));
   mk.PutString("d");
@@ -313,6 +326,57 @@ TEST_F(RecoveryTest, DirectoryOpsReplayDeterministically) {
   ASSERT_TRUE(rn_reply.ok());
   rpc::Reader rnr(*rn_reply);
   ASSERT_EQ(rpc::ExpectOk(rnr), Status::kOk);
+
+  rpc::Writer ss;
+  ss.PutFid(f);
+  ss.PutBool(true);
+  ss.PutU32(0600);
+  ss.PutBool(true);
+  ss.PutU32(4242);
+  ASSERT_TRUE(CallOk(conn.get(), Proc::kSetStatus, ss).ok());
+
+  rpc::Writer sl;
+  sl.PutFid(VolumeRootFid(vol_));
+  sl.PutString("s");
+  sl.PutString("/vice/x");
+  ASSERT_TRUE(CallOk(conn.get(), Proc::kMakeSymlink, sl).ok());
+
+  ASSERT_TRUE(CreateFile(conn.get(), "doomed").ok());
+  rpc::Writer rf;
+  rf.PutFid(VolumeRootFid(vol_));
+  rf.PutString("doomed");
+  ASSERT_TRUE(CallOk(conn.get(), Proc::kRemoveFile, rf).ok());
+
+  rpc::Writer mk2;
+  mk2.PutFid(VolumeRootFid(vol_));
+  mk2.PutString("e");
+  mk2.PutBytes(Bytes{});
+  ASSERT_TRUE(CallOk(conn.get(), Proc::kMakeDir, mk2).ok());
+  rpc::Writer rd;
+  rd.PutFid(VolumeRootFid(vol_));
+  rd.PutString("e");
+  ASSERT_TRUE(CallOk(conn.get(), Proc::kRemoveDir, rd).ok());
+
+  AccessList narrowed;
+  narrowed.SetPositive(Principal::User(alice_), protection::kAllRights);
+  narrowed.SetPositive(Principal::Group(protection::kAnyUserGroup), protection::kLookup);
+  rpc::Writer sa;
+  sa.PutFid(d);
+  sa.PutBytes(narrowed.Serialize());
+  ASSERT_TRUE(CallOk(conn.get(), Proc::kSetAcl, sa).ok());
+
+  rpc::Writer mp;
+  mp.PutFid(VolumeRootFid(vol_));
+  mp.PutString("m");
+  mp.PutU32(42);
+  ASSERT_TRUE(CallOk(conn.get(), Proc::kMakeMountPoint, mp).ok());
+
+  std::set<IntentKind> logged;
+  for (const auto& rec : server_->stable_store().log().records()) {
+    EXPECT_EQ(rec.state, IntentState::kCommitted);
+    logged.insert(rec.kind);
+  }
+  EXPECT_EQ(logged.size(), 10u);  // every IntentKind
 
   const Bytes pre_crash_dump = registry_.FindVolume(vol_)->Dump();
 
@@ -380,17 +444,19 @@ TEST_F(RecoveryTest, WritesAfterRestartNeverReachTheSharedImages) {
   ASSERT_TRUE(expected.ok());
   auto& log = server_->stable_store().log();
   SimTime when = 1000;
-  auto commit = [&](IntentKind kind, Bytes payload) {
-    const uint64_t lsn = log.Append(kind, vol_, when++, std::move(payload));
+  auto commit = [&](IntentKind kind, Bytes payload, content::Ref contents = {}) {
+    const uint64_t lsn = log.Append(kind, vol_, when++, std::move(payload), std::move(contents));
     const recovery::Intention& rec = log.records().back();
-    ASSERT_EQ(recovery::ApplyIntention(*live, rec), Status::kOk) << IntentKindName(kind);
-    ASSERT_EQ(recovery::ApplyIntention(**expected, rec), Status::kOk) << IntentKindName(kind);
+    ASSERT_EQ(recovery::ApplyIntention(*live, rec).status(), Status::kOk) << IntentKindName(kind);
+    ASSERT_EQ(recovery::ApplyIntention(**expected, rec).status(), Status::kOk)
+        << IntentKindName(kind);
     log.MarkCommitted(lsn);
     EXPECT_EQ(image_dump(), image) << IntentKindName(kind) << " leaked into the image";
   };
   AccessList narrowed = acl;
   narrowed.SetNegative(Principal::Group(protection::kAnyUserGroup), protection::kWrite);
-  commit(IntentKind::kStore, recovery::EncodeStore(f, ToBytes("committed")));
+  commit(IntentKind::kStore, recovery::EncodeStore(f),
+         content::Ref::Canonicalize(ToBytes("committed")));
   commit(IntentKind::kCreateFile, recovery::EncodeCreateFile(d, "h", alice_, 0600));
   commit(IntentKind::kMakeDir, recovery::EncodeMakeDir(root, "d2", alice_, acl.Serialize()));
   commit(IntentKind::kMakeSymlink, recovery::EncodeMakeSymlink(d, "s2", "/vice/x", alice_));
