@@ -88,10 +88,7 @@ SteadyResult RunSteadyArm(Scheme scheme) {
   }
   r.cpu_util = lab.ServerCpuUtilization(end);
   r.open_ms = vs.MeanOpenLatency() / 1000.0;
-  auto& server = lab.campus().server(0);
-  r.promises_or_leases = scheme == Scheme::kLeases
-                             ? server.leases().lease_count(end)
-                             : server.callbacks().promise_count();
+  r.promises_or_leases = lab.campus().server(0).promises().promise_count(end);
   return r;
 }
 
@@ -246,7 +243,7 @@ RestartResult RunRestartArm(Scheme scheme) {
   r.server_recovery_s = static_cast<double>(rig.report.recovery_time) / Seconds(1);
   r.lease_embargo_s =
       scheme == Scheme::kLeases
-          ? static_cast<double>(campus.server(0).leases().suspended_until() -
+          ? static_cast<double>(campus.server(0).promises().suspended_until() -
                                 restart_at) /
                 // itcfs-lint: allow(no-raw-lease-term) -- Seconds(1) converts to display units, it is not a lease duration
                 Seconds(1)

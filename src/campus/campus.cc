@@ -34,8 +34,7 @@ CampusConfig CampusConfig::Prototype(uint32_t clusters, uint32_t workstations_pe
 
 CampusConfig& CampusConfig::UseValidation(venus::VenusConfig::Validation scheme) {
   workstation.venus.validation = scheme;
-  vice.callbacks = scheme == venus::VenusConfig::Validation::kCallbacks;
-  vice.leases = scheme == venus::VenusConfig::Validation::kLeases;
+  vice.validation = scheme;
   return *this;
 }
 
@@ -157,7 +156,7 @@ Status Campus::MkDirDirect(VolumeId volume, const std::string& path) {
   // Direct mutation bypassed the file server: re-dump the durable image and
   // tell connected clients holding cached directories about it.
   RETURN_IF_ERROR(registry_.CheckpointVolume(volume));
-  return registry_.BreakVolumeCallbacks(volume);
+  return registry_.BreakVolumePromises(volume);
 }
 
 Status Campus::PopulateDirect(VolumeId volume, const std::string& path, const Bytes& data) {
@@ -184,7 +183,7 @@ Status Campus::PopulateDirect(VolumeId volume, const std::string& path,
   // Direct loading bypassed the file server: re-dump the durable image and
   // break any promises so already-connected clients refetch.
   RETURN_IF_ERROR(registry_.CheckpointVolume(volume));
-  return registry_.BreakVolumeCallbacks(volume);
+  return registry_.BreakVolumePromises(volume);
 }
 
 uint64_t Campus::RetainedContentBytes() const {

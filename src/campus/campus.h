@@ -44,8 +44,8 @@ struct CampusConfig {
   // cache.
   static CampusConfig Prototype(uint32_t clusters, uint32_t workstations_per_cluster);
 
-  // Selects the cache-validation scheme coherently on both sides of the
-  // wire (Venus policy + Vice callback/lease machinery must agree).
+  // Selects the cache-validation scheme on both sides of the wire: the
+  // Venus policy and what every Vice server promises take the one value.
   CampusConfig& UseValidation(venus::VenusConfig::Validation scheme);
 };
 
@@ -119,8 +119,6 @@ class Campus {
   // each other, but the backbone link is down) for [from, until).
   ITC_KERNEL_QUIESCENT void PartitionCluster(ClusterId cluster, SimTime from, SimTime until);
 
-  // Aggregated per-op CallStats across all servers (counts, bytes, latency
-  // histograms — recorded once per served call by each server endpoint).
   // Host bytes actually retained for file contents across the whole campus:
   // every server's volumes and stable store plus every workstation's local
   // file system (which holds the Venus cache copies). Buffers shared through
@@ -128,6 +126,8 @@ class Campus {
   // state.
   ITC_KERNEL_QUIESCENT uint64_t RetainedContentBytes() const;
 
+  // Aggregated per-op CallStats across all servers (counts, bytes, latency
+  // histograms — recorded once per served call by each server endpoint).
   rpc::CallStats TotalCallStats() const;
   // The Section 5.2 call-class collapse of TotalCallStats().
   std::map<vice::CallClass, uint64_t> TotalCallHistogram() const;

@@ -17,6 +17,8 @@ namespace {
 constexpr uint64_t kWireHeaderBytes = 32;
 // The sealed frame's header: procedure number and anti-replay sequence.
 constexpr size_t kFrameHeaderBytes = 12;
+// Client-stub wait before the first retry; doubles after each failed attempt.
+constexpr SimTime kInitialBackoff = Millis(20);
 
 uint64_t WireSize(const Bytes& payload) { return payload.size() + kWireHeaderBytes; }
 
@@ -327,13 +329,13 @@ Result<Bytes> ClientConnection::Call(uint32_t proc, const Bytes& request) {
 
   const SimTime start = clock_->now();
   Result<Bytes> result = attempt();
-  SimTime backoff = config_.retry.initial_backoff;
+  SimTime backoff = kInitialBackoff;
   for (uint32_t retry = 0; retryable && retry < config_.retry.max_retries; ++retry) {
     if (result.ok() ||
         (result.status() != Status::kUnavailable && result.status() != Status::kTimedOut)) {
       break;
     }
-    if (backoff > 0) clock_->Advance(backoff);
+    clock_->Advance(backoff);
     backoff *= 2;
     result = attempt();
   }

@@ -60,10 +60,10 @@ enum class ServerStructure { kProcessPerClient, kLwp };
 
 // Client-stub retry policy (§3.5.3 RPC-level reliability). Applies to
 // datagram-transport calls on ops the schema marks idempotent; mutators are
-// never blindly resent (at-most-once).
+// never blindly resent (at-most-once). The first retry waits 20 ms, and the
+// wait doubles after each failed attempt.
 struct RetryPolicy {
-  uint32_t max_retries = 0;               // 0: every call gets one attempt
-  SimTime initial_backoff = Millis(20);   // doubles after each failed attempt
+  uint32_t max_retries = 0;  // 0: every call gets one attempt
 };
 
 struct RpcConfig {

@@ -104,7 +104,14 @@ uint64_t KernelGroup::events_dispatched() const {
 
 SimTime KernelGroup::EffectiveBound(uint32_t i) const {
   const Kernel& k = *shards_[i];
-  return std::min(k.lb_.load(), k.mail_min_.load());
+  // mail_min_ first, in its own statement (the order in which function
+  // arguments are evaluated is unspecified). DrainMail lowers lb_ to cover
+  // the mail it takes and only then clears mail_min_, so a reader that sees
+  // the cleared mail_min_ also sees the lowered lb_. Reading lb_ first could
+  // pair the old lb_ with the cleared mail_min_ and report a shard that
+  // holds work as idle.
+  const SimTime mail = k.mail_min_.load();
+  return std::min(k.lb_.load(), mail);
 }
 
 SimTime KernelGroup::SafeHorizon(uint32_t self) const {
@@ -131,19 +138,25 @@ KernelGroup::Gate KernelGroup::AwaitSafe(uint32_t shard, SimTime t_next) {
   int spins = 0;
   for (;;) {
     if (terminated_.load()) return Gate::kDone;
+    // Every cross-shard send publishes the receiver's mailbox minimum
+    // *before* bumping this counter, and only afterwards may the sender's
+    // own bound rise. So a send in flight while this shard checks its own
+    // mailbox and scans the others either shows up in a mailbox read after
+    // this load, keeps its sender's bound low, or moves the counter before
+    // the re-read below. (A check of the own mailbox ahead of this load
+    // would miss mail that arrives in between from a sender whose raised
+    // bound the scan then reads.)
+    const uint64_t sent_before = msgs_sent_.load();
     if (me.mail_min_.load() != kNeverSimTime) return Gate::kRetry;
     if (t_next != kNeverSimTime) {
       // Single-shard groups have an unbounded horizon and never block here.
-      if (t_next < SafeHorizon(shard)) return Gate::kDispatch;
+      // The scan reads one shard at a time, so a horizon counts only if no
+      // send completed while it ran.
+      const SimTime horizon = SafeHorizon(shard);
+      if (t_next < horizon && msgs_sent_.load() == sent_before) return Gate::kDispatch;
     } else {
       // This shard is idle. Claim termination only if every shard is idle
-      // and the messages-sent counter is stable across the scan: every
-      // cross-shard send publishes the receiver's mailbox minimum *before*
-      // bumping the counter, and only afterwards may the sender's own bound
-      // rise — so a handoff in flight during the scan either shows up in a
-      // mailbox we read, keeps its sender's bound finite, or moves the
-      // counter between the two reads.
-      const uint64_t sent_before = msgs_sent_.load();
+      // and the messages-sent counter is stable across the scan.
       if (AllIdle()) {
         if (msgs_sent_.load() == sent_before && AllIdle()) {
           terminated_.store(true);

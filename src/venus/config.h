@@ -6,18 +6,16 @@
 #include <cstdint>
 
 #include "src/common/types.h"
+#include "src/vice/protocol.h"
 
 namespace itc::venus {
 
 struct VenusConfig {
-  // Cache validation scheme (Section 3.2). kCheckOnOpen is the prototype:
-  // a Validate RPC on every open of a cached file. kCallbacks is the
-  // revised invalidate-on-modification scheme: cached entries stay valid
-  // until the server breaks the callback promise. kLeases is the third
-  // scheme (Gray & Cheriton): a callback promise with an expiry — entries
-  // are trusted while their lease is live, renewed in per-server batches,
-  // and fall back to check-on-open once the lease lapses.
-  enum class Validation { kCheckOnOpen, kCallbacks, kLeases };
+  // Cache validation scheme (Section 3.2; vice::Validation). Under
+  // kCallbacks cached entries stay valid until the server breaks the
+  // promise; under kLeases they are trusted while their lease is live,
+  // renewed in per-server batches, and checked on open once it lapses.
+  using Validation = vice::Validation;
   Validation validation = Validation::kCallbacks;
 
   // Lease mode only: when a live lease is within this margin of expiry, an
@@ -40,10 +38,6 @@ struct VenusConfig {
   // false = the prototype: full pathnames go to the server (ResolvePath).
   bool client_path_traversal = true;
 
-  // Prefer a read-only replica (nearest site) over the read-write custodian
-  // when one has been released and the access does not need to write.
-  bool prefer_readonly_replicas = true;
-
   // Write-back policy (Section 3.2): "Changes to a cached file may be
   // transmitted on close ... or deferred until a later time. In our design,
   // Virtue stores a file back when it is closed ... to simplify recovery
@@ -62,7 +56,6 @@ inline VenusConfig PrototypeVenusConfig() {
   c.validation = VenusConfig::Validation::kCheckOnOpen;
   c.cache_limit = VenusConfig::CacheLimit::kFileCount;
   c.client_path_traversal = false;
-  c.prefer_readonly_replicas = true;
   return c;
 }
 

@@ -266,7 +266,7 @@ Result<ServerId> Venus::ServerFor(VolumeId volume) {
 }
 
 Result<VolumeId> Venus::ChooseVolume(VolumeId volume, bool for_update) {
-  if (for_update || !config_.prefer_readonly_replicas) return volume;
+  if (for_update) return volume;
   ASSIGN_OR_RETURN(VolumeInfo info, VolumeInfoFor(volume, /*refresh=*/false));
   if (!info.read_only && info.ro_clone != kInvalidVolume) return info.ro_clone;
   return volume;
@@ -1036,13 +1036,10 @@ void Venus::FlushCache() {
   // next resolution sees e.g. a newly released read-only clone.
   volume_hints_.clear();
   root_volume_ = kInvalidVolume;
-  // Surrender all callback promises and leases directly (administrative
-  // path).
+  // Surrender every promise directly (administrative path).
   for (auto& [sid, conn] : connections_) {
     auto it = servers_->find(sid);
-    if (it == servers_->end()) continue;
-    it->second->callbacks().UnregisterAll(this);
-    it->second->leases().ReleaseAll(this);
+    if (it != servers_->end()) it->second->promises().ReleaseAll(this);
   }
 }
 

@@ -27,9 +27,7 @@ ViceServer::ViceServer(ServerId id, NodeId node, net::Network* network,
             auto snapshot = protection_replica_.snapshot();
             return snapshot ? snapshot->UserKey(user) : std::nullopt;
           },
-          nonce_seed),
-      leases_(config.lease_term) {
-  ITC_CHECK(!(config_.callbacks && config_.leases));
+          nonce_seed) {
   protection->RegisterReplica(&protection_replica_);
   BindOps();
   endpoint_.set_registry(&registry_);
@@ -71,8 +69,7 @@ void ViceServer::RegisterCallbackSink(NodeId node, CallbackReceiver* sink) {
 void ViceServer::UnregisterCallbackSink(NodeId node) {
   auto it = callback_sinks_.find(node);
   if (it != callback_sinks_.end()) {
-    callbacks_.UnregisterAll(it->second);
-    leases_.ReleaseAll(it->second);
+    promises_.ReleaseAll(it->second);
     callback_sinks_.erase(it);
   }
   // The teardown below must run even for a node that never registered a
@@ -101,8 +98,7 @@ void ViceServer::SimulateCrash() {
   // registrations, the memoized CPS closures — and the in-memory volumes
   // themselves, which only exist again once Restart() re-reads the store.
   endpoint_.DropAllConnections();
-  callbacks_.DropAllPromises();
-  leases_.Clear();
+  promises_.Clear();
   locks_ = LockManager{};
   callback_sinks_.clear();
   cps_cache_.clear();
@@ -170,7 +166,9 @@ recovery::RecoveryReport ViceServer::Restart(SimTime at) {
   // server cannot remember what it promised, so it refuses new grants until
   // every lease it could have issued before the crash has expired. Holders
   // simply fall back to check-on-open until then.
-  if (config_.leases) leases_.SuspendGrantsUntil(at + config_.lease_term);
+  if (config_.validation == Validation::kLeases) {
+    promises_.SuspendGrantsUntil(at + config_.lease_term);
+  }
 
   // Serve the recovery I/O through the server disk: recovery takes real
   // virtual time, and the first post-restart RPCs queue behind it.
@@ -235,8 +233,7 @@ std::map<CallClass, uint64_t> ViceServer::CallHistogram() const {
 uint64_t ViceServer::total_calls() const { return endpoint_.call_stats().total_calls(); }
 
 void ViceServer::ResetStats() {
-  callbacks_.ResetStats();
-  leases_.ResetStats();
+  promises_.ResetStats();
   endpoint_.ResetStats();
   endpoint_.cpu().Reset();
   endpoint_.disk().Reset();
@@ -278,41 +275,34 @@ Status ViceServer::CheckFileBits(const Volume& vol, const Fid& fid, bool write) 
   return (status->mode & mask) != 0 ? Status::kOk : Status::kPermissionDenied;
 }
 
-// --- Callback plumbing ---------------------------------------------------------
+// --- Promise plumbing ----------------------------------------------------------
 
-void ViceServer::BreakCallbacks(const Fid& fid, rpc::CallContext& ctx) {
+void ViceServer::BreakPromises(const Fid& fid, rpc::CallContext& ctx) {
   CallbackReceiver* writer_sink = nullptr;
   auto it = callback_sinks_.find(ctx.client_node());
   if (it != callback_sinks_.end()) writer_sink = it->second;
-  if (config_.leases) {
-    // Reachable holders are notified immediately, like a callback break. An
-    // unreachable holder cannot be told, but its promise is time-bounded: the
-    // mutation's completion is held back until that lease has run out, so no
-    // client ever reads stale data under a live lease.
-    const SimTime safe = leases_.Break(fid, writer_sink, ctx.arrival(), node_, network_,
-                                       &endpoint_.cpu(), cost_);
-    ctx.DelayCompletionUntil(safe);
-    return;
-  }
-  if (!config_.callbacks) return;
-  callbacks_.Break(fid, writer_sink, ctx.arrival(), node_, network_, &endpoint_.cpu(),
-                   cost_);
+  // Reachable holders are notified at once. An unreachable lease holder
+  // cannot be told, but its promise is time-bounded: the mutation's
+  // completion is held back until that lease has run out, so no client ever
+  // reads stale data under a live lease. (Without such a holder `safe` is the
+  // arrival time, and the delay is a no-op.)
+  const BreakResult broken = promises_.Break(fid, writer_sink, ctx.arrival(), node_, network_,
+                                             &endpoint_.cpu(), cost_);
+  ctx.DelayCompletionUntil(broken.safe);
 }
 
-void ViceServer::MaybeRegisterCallback(const Fid& fid, rpc::CallContext& ctx) {
-  if (!config_.callbacks) return;
+SimTime ViceServer::GrantPromise(const Fid& fid, rpc::CallContext& ctx) {
+  if (config_.validation == Validation::kCheckOnOpen) return 0;
   auto it = callback_sinks_.find(ctx.client_node());
-  if (it != callback_sinks_.end()) callbacks_.Register(fid, it->second);
+  if (it == callback_sinks_.end()) return 0;
+  const SimTime now = ctx.arrival();
+  const SimTime expiry =
+      config_.validation == Validation::kLeases ? now + config_.lease_term : sim::kNeverSimTime;
+  return promises_.Grant(fid, it->second, now, expiry);
 }
 
-void ViceServer::AppendLeaseGrant(const Fid& fid, rpc::CallContext& ctx, rpc::Writer& w) {
-  if (!config_.leases) return;
-  SimTime expiry = 0;
-  auto it = callback_sinks_.find(ctx.client_node());
-  if (it != callback_sinks_.end()) {
-    expiry = leases_.Grant(fid, it->second, ctx.arrival());
-  }
-  w.PutU64(static_cast<uint64_t>(expiry));
+void ViceServer::PutLeaseExpiry(rpc::Writer& w, SimTime expiry) const {
+  if (config_.validation == Validation::kLeases) w.PutU64(static_cast<uint64_t>(expiry));
 }
 
 void ViceServer::ChargeAdminFile(rpc::CallContext& ctx) {
@@ -412,7 +402,7 @@ void ViceServer::BindOps() {
     return HandleLock(ctx, r, /*acquire=*/false);
   });
   bind(Proc::kRemoveCallback, [this](rpc::CallContext& ctx, rpc::Reader& r) {
-    return HandleRemoveCallback(ctx, r);
+    return HandleReleasePromise(ctx, r);
   });
   bind(Proc::kGrantLease, [this](rpc::CallContext& ctx, rpc::Reader& r) {
     return HandleGrantLease(ctx, r);
@@ -421,7 +411,7 @@ void ViceServer::BindOps() {
     return HandleRenewLeases(ctx, r);
   });
   bind(Proc::kReleaseLease, [this](rpc::CallContext& ctx, rpc::Reader& r) {
-    return HandleReleaseLease(ctx, r);
+    return HandleReleasePromise(ctx, r);
   });
   bind(Proc::kGetVolumeStatus, [this](rpc::CallContext& ctx, rpc::Reader& r) {
     return HandleGetVolumeStatus(ctx, r);
@@ -513,8 +503,7 @@ Bytes ViceServer::HandleFetch(rpc::CallContext& ctx, rpc::Reader& r, bool with_d
     w.PutStatus(Status::kOk);
     PutVnodeStatus(w, *status);
   }
-  MaybeRegisterCallback(*fid, ctx);
-  AppendLeaseGrant(*fid, ctx, w);
+  PutLeaseExpiry(w, GrantPromise(*fid, ctx));
   return w.Take();
 }
 
@@ -539,13 +528,10 @@ Bytes ViceServer::HandleValidate(rpc::CallContext& ctx, rpc::Reader& r) {
   w.PutStatus(Status::kOk);
   w.PutBool(valid);
   PutVnodeStatus(w, *status);
-  MaybeRegisterCallback(*fid, ctx);
-  if (valid) {
-    AppendLeaseGrant(*fid, ctx, w);
-  } else if (config_.leases) {
-    // A stale copy gets no promise; the refetch will carry the grant.
-    w.PutU64(0);
-  }
+  // A stale copy gets no lease; the refetch will carry the grant. A callback
+  // is registered either way.
+  const bool promise = valid || config_.validation == Validation::kCallbacks;
+  PutLeaseExpiry(w, promise ? GrantPromise(*fid, ctx) : 0);
   return w.Take();
 }
 
@@ -580,8 +566,9 @@ Result<Bytes> ViceServer::HandleStore(rpc::CallContext& ctx, rpc::Reader& r) {
   // at the same time that another workstation is storing it will either
   // receive the old version or the new one, but never a partially modified
   // version" — whole-file store is atomic by construction here.
-  BreakCallbacks(*fid, ctx);
-  MaybeRegisterCallback(*fid, ctx);
+  BreakPromises(*fid, ctx);
+  // The reply has no expiry field: only an open-ended promise rides on it.
+  if (config_.validation == Validation::kCallbacks) GrantPromise(*fid, ctx);
 
   auto status = vol->GetStatus(*fid);
   if (!status.ok()) return StatusReply(status.status());
@@ -613,7 +600,7 @@ Result<Bytes> ViceServer::HandleSetStatus(rpc::CallContext& ctx, rpc::Reader& r)
   if (crashed_) return Status::kUnavailable;
   if (!set.ok()) return StatusReply(set.status());
   ChargeAdminFile(ctx);
-  BreakCallbacks(*fid, ctx);
+  BreakPromises(*fid, ctx);
 
   auto status = vol->GetStatus(*fid);
   if (!status.ok()) return StatusReply(status.status());
@@ -675,8 +662,8 @@ Result<Bytes> ViceServer::HandleCreate(rpc::CallContext& ctx, rpc::Reader& r, Pr
 
   ctx.ChargeDisk(0);  // directory update
   ChargeAdminFile(ctx);
-  BreakCallbacks(*dir, ctx);
-  MaybeRegisterCallback(*created, ctx);
+  BreakPromises(*dir, ctx);
+  if (config_.validation == Validation::kCallbacks) GrantPromise(*created, ctx);
 
   auto status = vol->GetStatus(*created);
   if (!status.ok()) return StatusReply(status.status());
@@ -713,8 +700,8 @@ Result<Bytes> ViceServer::HandleRemove(rpc::CallContext& ctx, rpc::Reader& r, bo
 
   ctx.ChargeDisk(0);
   ChargeAdminFile(ctx);
-  BreakCallbacks(*parent, ctx);
-  if (victim.valid()) BreakCallbacks(victim, ctx);
+  BreakPromises(*parent, ctx);
+  if (victim.valid()) BreakPromises(victim, ctx);
   if (CrashPointHit(rpc::CrashPoint::kBeforeReply)) return Status::kUnavailable;
   return StatusReply(Status::kOk);
 }
@@ -750,9 +737,9 @@ Result<Bytes> ViceServer::HandleRename(rpc::CallContext& ctx, rpc::Reader& r) {
   if (!renamed.ok()) return StatusReply(renamed.status());
   ctx.ChargeDisk(0);
   ChargeAdminFile(ctx);
-  BreakCallbacks(*from_dir, ctx);
-  if (!(*from_dir == *to_dir)) BreakCallbacks(*to_dir, ctx);
-  if (overwritten.valid()) BreakCallbacks(overwritten, ctx);
+  BreakPromises(*from_dir, ctx);
+  if (!(*from_dir == *to_dir)) BreakPromises(*to_dir, ctx);
+  if (overwritten.valid()) BreakPromises(overwritten, ctx);
   if (CrashPointHit(rpc::CrashPoint::kBeforeReply)) return Status::kUnavailable;
   return StatusReply(Status::kOk);
 }
@@ -774,7 +761,7 @@ Result<Bytes> ViceServer::HandleMakeMountPoint(rpc::CallContext& ctx, rpc::Reade
   if (crashed_) return Status::kUnavailable;
   if (!mounted.ok()) return StatusReply(mounted.status());
   ctx.ChargeDisk(0);
-  BreakCallbacks(*dir, ctx);
+  BreakPromises(*dir, ctx);
   if (CrashPointHit(rpc::CrashPoint::kBeforeReply)) return Status::kUnavailable;
   return StatusReply(Status::kOk);
 }
@@ -967,11 +954,11 @@ Bytes ViceServer::HandleLock(rpc::CallContext& ctx, rpc::Reader& r, bool acquire
   return StatusReply(locks_.Release(*fid, holder));
 }
 
-Bytes ViceServer::HandleRemoveCallback(rpc::CallContext& ctx, rpc::Reader& r) {
+Bytes ViceServer::HandleReleasePromise(rpc::CallContext& ctx, rpc::Reader& r) {
   auto fid = r.FidField();
   if (!fid.ok()) return StatusReply(Status::kProtocolError);
   auto it = callback_sinks_.find(ctx.client_node());
-  if (it != callback_sinks_.end()) callbacks_.Unregister(*fid, it->second);
+  if (it != callback_sinks_.end()) promises_.Release(*fid, it->second);
   return StatusReply(Status::kOk);
 }
 
@@ -997,13 +984,10 @@ Bytes ViceServer::HandleGrantLease(rpc::CallContext& ctx, rpc::Reader& r) {
   w.PutStatus(Status::kOk);
   w.PutBool(valid);
   PutVnodeStatus(w, *status);
-  if (valid && config_.leases) {
-    AppendLeaseGrant(*fid, ctx, w);
-  } else {
-    // Fixed schema: the expiry field is always present; 0 means no promise
-    // (stale copy, restart embargo, or a server not running leases at all).
-    w.PutU64(0);
-  }
+  // Fixed schema: the expiry field is always present; 0 means no promise
+  // (stale copy, restart embargo, or a server not running leases at all).
+  const bool leasing = valid && config_.validation == Validation::kLeases;
+  w.PutU64(static_cast<uint64_t>(leasing ? GrantPromise(*fid, ctx) : 0));
   return w.Take();
 }
 
@@ -1023,27 +1007,21 @@ Bytes ViceServer::HandleRenewLeases(rpc::CallContext& ctx, rpc::Reader& r) {
 
   std::vector<Fid> rejected;
   auto it = callback_sinks_.find(ctx.client_node());
-  const bool granting = config_.leases && it != callback_sinks_.end();
+  const bool granting =
+      config_.validation == Validation::kLeases && it != callback_sinks_.end();
+  // Every renewed lease now runs to the same horizon.
+  const SimTime expiry = ctx.arrival() + config_.lease_term;
   if (!granting) {
     rejected = fids;  // nothing renewable here; caller must revalidate
   } else {
-    rejected = leases_.Renew(it->second, fids, ctx.arrival());
+    rejected = promises_.Renew(it->second, fids, ctx.arrival(), expiry);
   }
   rpc::Writer w;
   w.PutStatus(Status::kOk);
-  // Every renewed lease now runs to the same horizon.
-  w.PutU64(granting ? static_cast<uint64_t>(ctx.arrival() + leases_.term()) : 0);
+  w.PutU64(granting ? static_cast<uint64_t>(expiry) : 0);
   w.PutU32(static_cast<uint32_t>(rejected.size()));
   for (const Fid& f : rejected) w.PutFid(f);
   return w.Take();
-}
-
-Bytes ViceServer::HandleReleaseLease(rpc::CallContext& ctx, rpc::Reader& r) {
-  auto fid = r.FidField();
-  if (!fid.ok()) return StatusReply(Status::kProtocolError);
-  auto it = callback_sinks_.find(ctx.client_node());
-  if (it != callback_sinks_.end()) leases_.Release(*fid, it->second);
-  return StatusReply(Status::kOk);
 }
 
 Bytes ViceServer::HandleGetVolumeStatus(rpc::CallContext& ctx, rpc::Reader& r) {

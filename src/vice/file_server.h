@@ -1,9 +1,9 @@
 // The Vice cluster server (Sections 3, 5).
 //
 // A ViceServer is one cluster server: an RPC endpoint, the volumes it is
-// custodian for (plus read-only replicas it hosts), a callback manager, a
-// lock manager, a replica of the protection database, and a snapshot of the
-// location database. It implements the Vice-Virtue interface of
+// custodian for (plus read-only replicas it hosts), a promise table
+// (callbacks or leases), a lock manager, a replica of the protection
+// database, and a snapshot of the location database. It implements the Vice-Virtue interface of
 // src/vice/protocol.h and enforces protection on every call — workstations
 // are never trusted (Section 2.3).
 //
@@ -12,8 +12,9 @@
 //     (Venus sends ResolvePath; the server pays per-component CPU),
 //   * admin_status_files — the prototype's two-Unix-files-per-Vice-file
 //     representation (extra disk op on data operations),
-//   * callbacks — the revised invalidate-on-modification scheme (when off,
-//     Venus must validate on every open),
+//   * validation — what the server promises cached holders: nothing
+//     (check-on-open: Venus validates on every open), an open-ended callback
+//     (the revised invalidate-on-modification scheme), or a lease,
 //   * per_file_protection_bits — the revised hybrid protection scheme.
 
 #ifndef SRC_VICE_FILE_SERVER_H_
@@ -31,10 +32,9 @@
 #include "src/protection/protection_service.h"
 #include "src/rpc/rpc.h"
 #include "src/sim/cost_model.h"
-#include "src/vice/callback_manager.h"
-#include "src/vice/lease/lease_manager.h"
 #include "src/vice/location_db.h"
 #include "src/vice/lock_manager.h"
+#include "src/vice/promise_table.h"
 #include "src/vice/protocol.h"
 #include "src/vice/recovery/stable_store.h"
 #include "src/vice/volume.h"
@@ -44,18 +44,15 @@ namespace itc::vice {
 struct ViceConfig {
   bool server_side_pathnames = false;
   bool admin_status_files = false;
-  bool callbacks = true;
+  // Under kLeases, Fetch/FetchStatus/Validate piggyback a lease grant on
+  // their reply instead of registering an open-ended callback, and a
+  // restarted server refuses grants for one lease term instead of relying on
+  // epoch probes. CampusConfig::UseValidation sets Venus to the same value.
+  Validation validation = Validation::kCallbacks;
   bool per_file_protection_bits = true;
   // Re-dump volumes and truncate the intention log after this many committed
   // intentions (0 = never); bounds recovery time and modeled log space.
   uint32_t log_checkpoint_interval = 64;
-  // Lease-based validation (src/vice/lease/): callback promises with an
-  // expiry. When on, Fetch/FetchStatus/Validate piggyback a lease grant on
-  // their reply instead of registering an open-ended callback, and a
-  // restarted server refuses grants for one lease term instead of relying on
-  // epoch probes. `callbacks` and `leases` are mutually exclusive; Campus
-  // configs keep the server and Venus sides coherent.
-  bool leases = false;
   // The lease term. This is the one place the duration may be spelled as a
   // literal (the no-raw-lease-term lint rule pins every other site to the
   // config). Gray & Cheriton found short terms (tens of seconds) close to
@@ -67,7 +64,8 @@ struct ViceConfig {
 // Prototype configuration in one call.
 inline ViceConfig PrototypeViceConfig() {
   return ViceConfig{/*server_side_pathnames=*/true, /*admin_status_files=*/true,
-                    /*callbacks=*/false, /*per_file_protection_bits=*/false};
+                    /*validation=*/Validation::kCheckOnOpen,
+                    /*per_file_protection_bits=*/false};
 }
 
 class ViceServer {
@@ -84,8 +82,7 @@ class ViceServer {
   const rpc::ServerEndpoint& endpoint() const { return endpoint_; }
   const ViceConfig& config() const { return config_; }
   void set_config(ViceConfig c) { config_ = c; }
-  CallbackManager& callbacks() { return callbacks_; }
-  LeaseManager& leases() { return leases_; }
+  PromiseTable& promises() { return promises_; }
   LockManager& locks() { return locks_; }
   protection::Replica& protection_replica() { return protection_replica_; }
 
@@ -112,7 +109,7 @@ class ViceServer {
   ITC_KERNEL_QUIESCENT void CheckpointVolume(VolumeId id);
 
   // Kills the server: the endpoint goes offline and every piece of volatile
-  // state — callback promises, advisory locks, connections, registered
+  // state — the promise table, advisory locks, connections, registered
   // sinks, the in-memory volumes themselves — is dropped. Only the
   // StableStore (checkpoint images + intention log) survives.
   ITC_KERNEL_QUIESCENT void SimulateCrash();
@@ -169,15 +166,17 @@ class ViceServer {
 
   [[nodiscard]] Result<Volume*> VolumeFor(const Fid& fid, rpc::CallContext& ctx, rpc::Writer& reply);
 
-  // Invalidation fan-out before a mutation commits: callback breaks in
-  // callback mode; in lease mode, lease breaks whose unreachable-holder
-  // wait (if any) is imposed on the call's completion time.
-  void BreakCallbacks(const Fid& fid, rpc::CallContext& ctx);
-  void MaybeRegisterCallback(const Fid& fid, rpc::CallContext& ctx);
-  // Lease-mode reply tail: grants (or refuses) a lease to the caller and
-  // appends the expiry to `w`, so Fetch/FetchStatus/Validate/GrantLease
-  // replies all carry the grant without an extra RPC.
-  void AppendLeaseGrant(const Fid& fid, rpc::CallContext& ctx, rpc::Writer& w);
+  // Invalidation fan-out before a mutation commits. The wait for an
+  // unreachable lease holder (if any) is imposed on the call's completion
+  // time.
+  void BreakPromises(const Fid& fid, rpc::CallContext& ctx);
+  // Promises the caller notice of changes to `fid`: open-ended under
+  // kCallbacks, for one term under kLeases, nothing under check-on-open.
+  // Returns the expiry, or 0 when nothing was granted.
+  SimTime GrantPromise(const Fid& fid, rpc::CallContext& ctx);
+  // Lease-mode reply tail: the expiry of the caller's grant (0: none), so
+  // Fetch/FetchStatus/Validate replies carry it without an extra RPC.
+  void PutLeaseExpiry(rpc::Writer& w, SimTime expiry) const;
   void ChargeAdminFile(rpc::CallContext& ctx);
   void NoteVolumeAccess(VolumeId volume, NodeId client);
 
@@ -217,10 +216,10 @@ class ViceServer {
   Bytes HandleGetAcl(rpc::CallContext& ctx, rpc::Reader& r);
   [[nodiscard]] Result<Bytes> HandleSetAcl(rpc::CallContext& ctx, rpc::Reader& r);
   Bytes HandleLock(rpc::CallContext& ctx, rpc::Reader& r, bool acquire);
-  Bytes HandleRemoveCallback(rpc::CallContext& ctx, rpc::Reader& r);
+  // RemoveCallback and ReleaseLease: the caller dropped its cached copy.
+  Bytes HandleReleasePromise(rpc::CallContext& ctx, rpc::Reader& r);
   Bytes HandleGrantLease(rpc::CallContext& ctx, rpc::Reader& r);
   Bytes HandleRenewLeases(rpc::CallContext& ctx, rpc::Reader& r);
-  Bytes HandleReleaseLease(rpc::CallContext& ctx, rpc::Reader& r);
   Bytes HandleGetVolumeStatus(rpc::CallContext& ctx, rpc::Reader& r);
 
   ServerId id_;
@@ -233,8 +232,7 @@ class ViceServer {
   protection::Replica protection_replica_;
   ITC_OWNED_BY_SHARD std::map<VolumeId, std::unique_ptr<Volume>> volumes_;
   std::shared_ptr<const LocationDb> location_;
-  CallbackManager callbacks_;
-  LeaseManager leases_;
+  PromiseTable promises_;
   LockManager locks_;
   ITC_OWNED_BY_SHARD std::unordered_map<NodeId, CallbackReceiver*> callback_sinks_;
   ITC_OWNED_BY_SHARD VolumeAccessMap volume_accesses_;

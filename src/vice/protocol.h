@@ -24,6 +24,16 @@
 
 namespace itc::vice {
 
+// Cache validation scheme (Section 3.2), one value for both sides of a
+// campus. kCheckOnOpen is the prototype: a Validate RPC on every open of a
+// cached file, and the server promises nothing. kCallbacks is the revised
+// invalidate-on-modification scheme: the server promises to notify every
+// holder before the file changes, with no end date. kLeases (Gray &
+// Cheriton) is the same promise with an expiry: holders trust an entry
+// while its lease is live and fall back to check-on-open once it lapses.
+// Vice keeps both kinds of promise in one table (src/vice/promise_table.h).
+enum class Validation { kCheckOnOpen, kCallbacks, kLeases };
+
 enum class Proc : uint32_t {
   // Connection / environment.
   kTestAuth = 1,
@@ -68,7 +78,7 @@ enum class Proc : uint32_t {
   // Cache management.
   kRemoveCallback = 50,  // Venus dropped its cached copy
 
-  // Leases (third validation scheme; see src/vice/lease/).
+  // Leases (third validation scheme; see src/vice/promise_table.h).
   kGrantLease = 51,   // fid + cached version -> valid? + fresh lease
   kRenewLeases = 52,  // batch: fids -> rejected fids (must revalidate)
   kReleaseLease = 53, // Venus dropped its cached copy (lease-mode analog

@@ -77,8 +77,8 @@ Status VolumeRegistry::MountAt(const Fid& dir, const std::string& name, VolumeId
   // custodian crash.
   server->CheckpointVolume(dir.volume);
   // Clients caching this directory must refetch it to see the mount.
-  server->callbacks().Break(dir, nullptr, 0, server->node(), server->network(),
-                            &server->endpoint().cpu(), server->cost());
+  server->promises().Break(dir, nullptr, 0, server->node(), server->network(),
+                           &server->endpoint().cpu(), server->cost());
   return Status::kOk;
 }
 
@@ -88,10 +88,10 @@ Status VolumeRegistry::CheckpointVolume(VolumeId volume) {
   return Status::kOk;
 }
 
-Status VolumeRegistry::BreakVolumeCallbacks(VolumeId volume, SimTime at) {
+Status VolumeRegistry::BreakVolumePromises(VolumeId volume, SimTime at) {
   ASSIGN_OR_RETURN(ViceServer * server, CustodianOf(volume));
-  server->callbacks().BreakVolume(volume, at, server->node(), server->network(),
-                                  &server->endpoint().cpu(), server->cost());
+  server->promises().BreakVolume(volume, at, server->node(), server->network(),
+                                 &server->endpoint().cpu(), server->cost());
   return Status::kOk;
 }
 
@@ -109,8 +109,8 @@ Status VolumeRegistry::MoveVolume(VolumeId volume, ServerId new_custodian, SimTi
   // "The files whose custodians are being modified are unavailable during
   // the change" — cached copies may outlive the move, so their promises are
   // broken explicitly.
-  from->callbacks().BreakVolume(volume, at, from->node(), from->network(),
-                                &from->endpoint().cpu(), from->cost());
+  from->promises().BreakVolume(volume, at, from->node(), from->network(),
+                               &from->endpoint().cpu(), from->cost());
   to->InstallVolume(std::move(vol));
   info_it->second.custodian = new_custodian;
   Publish();

@@ -48,10 +48,10 @@ class VolumeRegistry {
   // clients see the new mount.
   [[nodiscard]] Status MountAt(const Fid& dir, const std::string& name, VolumeId child);
 
-  // Breaks every callback promise on `volume` at its custodian. Invoked by
-  // administrative tooling after direct (non-RPC) mutations so connected
-  // clients cannot keep trusting stale cached copies.
-  [[nodiscard]] Status BreakVolumeCallbacks(VolumeId volume, SimTime at = 0);
+  // Breaks every promise (callback or lease) on `volume` at its custodian.
+  // Invoked by administrative tooling after direct (non-RPC) mutations so
+  // connected clients cannot keep trusting stale cached copies.
+  [[nodiscard]] Status BreakVolumePromises(VolumeId volume, SimTime at = 0);
 
   // Re-dumps the volume's stable-storage image at its custodian. Required
   // after any direct (non-RPC) mutation, which bypasses the custodian's

@@ -128,17 +128,21 @@ TEST_F(AdminTest, HeterogeneousArchitecturesSeeTheirOwnBinaries) {
   EXPECT_EQ(ToString(*vax_ws.ReadWholeFile("/bin/cc")), "vax code");
 }
 
-TEST_F(AdminTest, VolumeMoveKeepsDataAndBreaksPromises) {
-  campus_ = std::make_unique<Campus>(CampusConfig::Revised(2, 2));
-  ASSERT_TRUE(campus_->SetupRootVolume().ok());
-  auto home = campus_->AddUserWithHome("mover", "pw", 0);
+// Administrative paths mutate volumes behind the file server's back, so
+// they must break the same promises a handler would, whichever kind the
+// server hands out: open-ended callbacks or leases.
+using Scheme = venus::VenusConfig::Validation;
+
+void ExpectVolumeMoveKeepsDataAndBreaksPromises(Campus* campus) {
+  ASSERT_TRUE(campus->SetupRootVolume().ok());
+  auto home = campus->AddUserWithHome("mover", "pw", 0);
   ASSERT_TRUE(home.ok());
-  auto& ws = campus_->workstation(0);
+  auto& ws = campus->workstation(0);
   ASSERT_EQ(ws.LoginWithPassword(home->user, "pw"), Status::kOk);
   ASSERT_EQ(ws.WriteWholeFile("/vice/usr/mover/f", ToBytes("precious")), Status::kOk);
 
   const uint64_t breaks_before = ws.venus().stats().callback_breaks_received;
-  ASSERT_EQ(campus_->registry().MoveVolume(home->volume, /*new_custodian=*/1),
+  ASSERT_EQ(campus->registry().MoveVolume(home->volume, /*new_custodian=*/1),
             Status::kOk);
   // The client heard its promises break...
   EXPECT_GT(ws.venus().stats().callback_breaks_received, breaks_before);
@@ -146,8 +150,50 @@ TEST_F(AdminTest, VolumeMoveKeepsDataAndBreaksPromises) {
   auto data = ws.ReadWholeFile("/vice/usr/mover/f");
   ASSERT_TRUE(data.ok());
   EXPECT_EQ(ToString(*data), "precious");
-  EXPECT_EQ(campus_->server(1).FindVolume(home->volume) != nullptr, true);
+  EXPECT_EQ(campus->server(1).FindVolume(home->volume) != nullptr, true);
 }
+
+TEST_F(AdminTest, VolumeMoveKeepsDataAndBreaksPromises) {
+  campus_ = std::make_unique<Campus>(CampusConfig::Revised(2, 2));
+  ExpectVolumeMoveKeepsDataAndBreaksPromises(campus_.get());
+}
+
+TEST_F(AdminTest, VolumeMoveKeepsDataAndBreaksLeases) {
+  CampusConfig config = CampusConfig::Revised(2, 2);
+  config.UseValidation(Scheme::kLeases);
+  campus_ = std::make_unique<Campus>(config);
+  ExpectVolumeMoveKeepsDataAndBreaksPromises(campus_.get());
+}
+
+class AdminPromiseTest : public ::testing::TestWithParam<Scheme> {
+ protected:
+  void SetUp() override {
+    CampusConfig config = CampusConfig::Revised(1, 2);
+    config.UseValidation(GetParam());
+    campus_ = std::make_unique<Campus>(config);
+    ASSERT_TRUE(campus_->SetupRootVolume().ok());
+  }
+  std::unique_ptr<Campus> campus_;
+};
+
+TEST_P(AdminPromiseTest, HomeAddedAfterListingIsVisible) {
+  auto alice = campus_->AddUserWithHome("alice", "pw", 0);
+  ASSERT_TRUE(alice.ok());
+  auto& ws = campus_->workstation(0);
+  ASSERT_EQ(ws.LoginWithPassword(alice->user, "pw"), Status::kOk);
+  // The listing leaves /usr cached under a live promise.
+  ASSERT_TRUE(ws.ReadDir("/vice/usr").ok());
+
+  // Mounting a new home changes /usr in place; the promise must break.
+  ASSERT_TRUE(campus_->AddUserWithHome("carol", "pw", 0).ok());
+  EXPECT_TRUE(ws.Stat("/vice/usr/carol").ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(PromiseSchemes, AdminPromiseTest,
+                         ::testing::Values(Scheme::kCallbacks, Scheme::kLeases),
+                         [](const ::testing::TestParamInfo<Scheme>& p) {
+                           return p.param == Scheme::kCallbacks ? "Callbacks" : "Leases";
+                         });
 
 }  // namespace
 }  // namespace itc

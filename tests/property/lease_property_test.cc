@@ -1,18 +1,22 @@
-// LeaseManager vs a brute-force oracle under random interleavings of
-// grant / renew / release / break / crash-restart.
+// PromiseTable vs a brute-force oracle under random interleavings of
+// grant / renew / release / break / volume break / crash-restart. Grants
+// are leases (one term) or callbacks (open-ended, kNeverSimTime) at random,
+// so both kinds share one table the way they share the server's.
 //
 // The oracle is the obvious map<(fid, holder) -> expiry> plus an embargo
 // timestamp, recomputed from first principles at every step. Invariants
 // checked after every operation:
-//   * the manager's live-lease view (HasLease, lease_count) matches the
-//     oracle exactly;
-//   * no lease survives one term past the current time;
+//   * the table's live view (HasPromise, promise_count) matches the oracle
+//     exactly;
+//   * no lease survives one term past the current time; only callbacks do;
 //   * Break returns exactly max(at, embargo end, latest expiry among live
-//     unreachable holders) — in particular it never blocks at all when every
-//     holder is reachable, and never blocks past the earliest moment every
-//     outstanding lease has lapsed;
+//     unreachable lease holders) — in particular it never blocks at all when
+//     every holder is reachable or the unreachable ones hold callbacks, and
+//     never blocks past the earliest moment every outstanding lease has
+//     lapsed;
 //   * reachable holders are notified exactly once per break, the writer and
-//     lapsed holders never.
+//     lapsed holders never; BreakVolume notifies every live reachable holder
+//     of a fid in the volume and forgets those fids, writer or not.
 
 #include <gtest/gtest.h>
 
@@ -24,7 +28,8 @@
 #include "src/net/network.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/resource.h"
-#include "src/vice/lease/lease_manager.h"
+#include "src/sim/kernel.h"
+#include "src/vice/promise_table.h"
 
 namespace itc::vice {
 namespace {
@@ -67,7 +72,7 @@ TEST(LeasePropertyTest, MatchesBruteForceOracleUnderRandomInterleavings) {
       if (!reachable[h]) network.AddPartition({{node}, 0, SimTime{1} << 60});
     }
 
-    LeaseManager mgr(kTerm);
+    PromiseTable mgr;
     SimTime expiry[kFids][kHolders] = {};
     bool held[kFids][kHolders] = {};
     SimTime suspended = 0;
@@ -80,10 +85,11 @@ TEST(LeasePropertyTest, MatchesBruteForceOracleUnderRandomInterleavings) {
       const int f = static_cast<int>(rng.Below(kFids));
       const int h = static_cast<int>(rng.Below(kHolders));
 
-      switch (rng.Below(6)) {
-        case 0: {  // grant
-          const SimTime got = mgr.Grant(fids[f], holders[h].get(), now);
-          const SimTime want = now < suspended ? 0 : now + kTerm;
+      switch (rng.Below(7)) {
+        case 0: {  // grant: a lease, or a callback (open-ended)
+          const SimTime until = rng.Chance(0.3) ? sim::kNeverSimTime : now + kTerm;
+          const SimTime got = mgr.Grant(fids[f], holders[h].get(), now, until);
+          const SimTime want = now < suspended ? 0 : until;
           ASSERT_EQ(got, want) << "iter=" << iter << " op=" << op;
           if (want != 0) {
             held[f][h] = true;
@@ -96,14 +102,14 @@ TEST(LeasePropertyTest, MatchesBruteForceOracleUnderRandomInterleavings) {
           for (int i = 0; i < kFids; ++i) {
             if (rng.Chance(0.6)) ask.push_back(fids[i]);
           }
-          const std::vector<Fid> rejected = mgr.Renew(holders[h].get(), ask, now);
+          const std::vector<Fid> rejected = mgr.Renew(holders[h].get(), ask, now, now + kTerm);
           std::vector<Fid> want_rejected;
           for (const Fid& fid : ask) {
             int i = 0;
             while (!(fids[i] == fid)) ++i;
             const bool live = now >= suspended && held[i][h] && expiry[i][h] > now;
             if (live) {
-              expiry[i][h] = now + kTerm;
+              expiry[i][h] = std::max(expiry[i][h], now + kTerm);  // never shortened
             } else {
               want_rejected.push_back(fid);
             }
@@ -122,14 +128,15 @@ TEST(LeasePropertyTest, MatchesBruteForceOracleUnderRandomInterleavings) {
           size_t broken_before[kHolders];
           for (int i = 0; i < kHolders; ++i) broken_before[i] = holders[i]->broken.size();
 
-          const SimTime safe = mgr.Break(fids[f], writer, now, server, &network, &cpu, cost);
+          const SimTime safe =
+              mgr.Break(fids[f], writer, now, server, &network, &cpu, cost).safe;
 
           SimTime want_safe = std::max(now, suspended);
           for (int i = 0; i < kHolders; ++i) {
             const bool is_writer = has_writer && i == h;
             const bool live = held[f][i] && expiry[f][i] > now;
             const bool notified = live && !is_writer && reachable[i];
-            if (live && !is_writer && !reachable[i]) {
+            if (live && !is_writer && !reachable[i] && expiry[f][i] != sim::kNeverSimTime) {
               want_safe = std::max(want_safe, expiry[f][i]);
             }
             EXPECT_EQ(holders[i]->broken.size(), broken_before[i] + (notified ? 1u : 0u))
@@ -150,6 +157,28 @@ TEST(LeasePropertyTest, MatchesBruteForceOracleUnderRandomInterleavings) {
           suspended = now + kTerm;
           break;
         }
+        case 5: {  // volume break: every holder of every fid in f's volume
+          const VolumeId volume = fids[f].volume;
+          size_t broken_before[kHolders];
+          for (int i = 0; i < kHolders; ++i) broken_before[i] = holders[i]->broken.size();
+
+          const uint32_t sent = mgr.BreakVolume(volume, now, server, &network, &cpu, cost);
+
+          uint32_t want_sent = 0;
+          for (int i = 0; i < kHolders; ++i) {
+            size_t notices = 0;
+            for (int j = 0; j < kFids; ++j) {
+              if (fids[j].volume != volume) continue;
+              if (held[j][i] && expiry[j][i] > now && reachable[i]) notices += 1;
+              held[j][i] = false;
+            }
+            EXPECT_EQ(holders[i]->broken.size(), broken_before[i] + notices)
+                << "iter=" << iter << " op=" << op << " holder=" << i;
+            want_sent += static_cast<uint32_t>(notices);
+          }
+          ASSERT_EQ(sent, want_sent) << "iter=" << iter << " op=" << op;
+          break;
+        }
         default: {  // holder disconnects: everything it had goes
           mgr.ReleaseAll(holders[h].get());
           for (int i = 0; i < kFids; ++i) held[i][h] = false;
@@ -157,19 +186,22 @@ TEST(LeasePropertyTest, MatchesBruteForceOracleUnderRandomInterleavings) {
         }
       }
 
-      // The manager's live view must match the oracle exactly...
+      // The table's live view must match the oracle exactly...
       size_t live = 0;
+      size_t callbacks = 0;
       for (int i = 0; i < kFids; ++i) {
         for (int j = 0; j < kHolders; ++j) {
           const bool want = held[i][j] && expiry[i][j] > now;
-          ASSERT_EQ(mgr.HasLease(fids[i], holders[j].get(), now), want)
+          ASSERT_EQ(mgr.HasPromise(fids[i], holders[j].get(), now), want)
               << "iter=" << iter << " op=" << op << " fid=" << i << " holder=" << j;
           if (want) live += 1;
+          if (want && expiry[i][j] == sim::kNeverSimTime) callbacks += 1;
         }
       }
-      ASSERT_EQ(mgr.lease_count(now), live) << "iter=" << iter << " op=" << op;
-      // ...and nothing may outlive its term.
-      ASSERT_EQ(mgr.lease_count(now + kTerm), 0u) << "iter=" << iter << " op=" << op;
+      ASSERT_EQ(mgr.promise_count(now), live) << "iter=" << iter << " op=" << op;
+      // ...and no lease may outlive its term.
+      ASSERT_EQ(mgr.promise_count(now + kTerm), callbacks)
+          << "iter=" << iter << " op=" << op;
     }
   }
 }
@@ -182,9 +214,9 @@ TEST(LeasePropertyTest, BreakDuringEmbargoWaitsOutUnknownPreCrashLeases) {
   net::Network network(topo, cost);
   sim::Resource cpu("cpu");
 
-  LeaseManager mgr(Seconds(30));
+  PromiseTable mgr;
   RecordingReceiver r(topo.WorkstationNode(0, 0));
-  ASSERT_GT(mgr.Grant({1, 1, 1}, &r, Seconds(1)), 0);
+  ASSERT_GT(mgr.Grant({1, 1, 1}, &r, Seconds(1), Seconds(31)), 0);
 
   // Crash at t=10s: the table is gone, but the t=1s lease is live somewhere
   // until t=31s. A mutation at t=12s must not complete before the embargo
@@ -192,10 +224,11 @@ TEST(LeasePropertyTest, BreakDuringEmbargoWaitsOutUnknownPreCrashLeases) {
   mgr.Clear();
   mgr.SuspendGrantsUntil(Seconds(10) + Seconds(30));
   const SimTime safe =
-      mgr.Break({1, 1, 1}, nullptr, Seconds(12), topo.ServerNode(0, 0), &network, &cpu, cost);
+      mgr.Break({1, 1, 1}, nullptr, Seconds(12), topo.ServerNode(0, 0), &network, &cpu, cost)
+          .safe;
   EXPECT_EQ(safe, Seconds(40));
-  EXPECT_EQ(mgr.Grant({1, 1, 1}, &r, Seconds(39)), 0);  // still embargoed
-  EXPECT_EQ(mgr.Grant({1, 1, 1}, &r, Seconds(40)), Seconds(70));
+  EXPECT_EQ(mgr.Grant({1, 1, 1}, &r, Seconds(39), Seconds(69)), 0);  // still embargoed
+  EXPECT_EQ(mgr.Grant({1, 1, 1}, &r, Seconds(40), Seconds(70)), Seconds(70));
 }
 
 TEST(LeasePropertyTest, WriterKeepsItsOriginalExpiryAcrossItsOwnBreak) {
@@ -204,22 +237,22 @@ TEST(LeasePropertyTest, WriterKeepsItsOriginalExpiryAcrossItsOwnBreak) {
   net::Network network(topo, cost);
   sim::Resource cpu("cpu");
 
-  LeaseManager mgr(Seconds(30));
+  PromiseTable mgr;
   RecordingReceiver writer(topo.WorkstationNode(0, 0));
   RecordingReceiver other(topo.WorkstationNode(0, 1));
   const Fid f{1, 2, 3};
-  ASSERT_EQ(mgr.Grant(f, &writer, Seconds(1)), Seconds(31));
-  ASSERT_EQ(mgr.Grant(f, &other, Seconds(2)), Seconds(32));
+  ASSERT_EQ(mgr.Grant(f, &writer, Seconds(1), Seconds(31)), Seconds(31));
+  ASSERT_EQ(mgr.Grant(f, &other, Seconds(2), Seconds(32)), Seconds(32));
 
   const SimTime safe =
-      mgr.Break(f, &writer, Seconds(3), topo.ServerNode(0, 0), &network, &cpu, cost);
+      mgr.Break(f, &writer, Seconds(3), topo.ServerNode(0, 0), &network, &cpu, cost).safe;
   EXPECT_EQ(safe, Seconds(3));  // everyone reachable: no wait
   EXPECT_EQ(other.broken.size(), 1u);
   EXPECT_TRUE(writer.broken.empty());
   // The writer's lease survives with its ORIGINAL horizon, not a refresh.
-  EXPECT_TRUE(mgr.HasLease(f, &writer, Seconds(30)));
-  EXPECT_FALSE(mgr.HasLease(f, &writer, Seconds(31)));
-  EXPECT_FALSE(mgr.HasLease(f, &other, Seconds(3)));
+  EXPECT_TRUE(mgr.HasPromise(f, &writer, Seconds(30)));
+  EXPECT_FALSE(mgr.HasPromise(f, &writer, Seconds(31)));
+  EXPECT_FALSE(mgr.HasPromise(f, &other, Seconds(3)));
 }
 
 }  // namespace

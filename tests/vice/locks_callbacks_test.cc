@@ -1,10 +1,12 @@
 // Unit tests for the lock manager (single-writer/multi-reader advisory
-// locks) and the callback manager (invalidate-on-modification promises).
+// locks) and the promise table's open-ended grants (callbacks:
+// invalidate-on-modification promises).
 
 #include <gtest/gtest.h>
 
-#include "src/vice/callback_manager.h"
+#include "src/sim/kernel.h"
 #include "src/vice/lock_manager.h"
+#include "src/vice/promise_table.h"
 
 namespace itc::vice {
 namespace {
@@ -78,7 +80,7 @@ TEST_F(LockTest, ReleaseAllForWorkstationCrash) {
   EXPECT_TRUE(locks_.IsLocked(g));  // b still holds
 }
 
-// --- CallbackManager -------------------------------------------------------------
+// --- PromiseTable, callbacks --------------------------------------------------------
 
 class RecordingReceiver : public CallbackReceiver {
  public:
@@ -103,22 +105,22 @@ class CallbackTest : public ::testing::Test {
         r3_(topo_.WorkstationNode(0, 2)) {}
 
   uint32_t Break(const Fid& fid, CallbackReceiver* except) {
-    return cbm_.Break(fid, except, 0, topo_.ServerNode(0, 0), &network_, &cpu_, cost_);
+    return cbm_.Break(fid, except, 0, topo_.ServerNode(0, 0), &network_, &cpu_, cost_).sent;
   }
 
   net::Topology topo_;
   sim::CostModel cost_;
   net::Network network_;
   sim::Resource cpu_;
-  CallbackManager cbm_;
+  PromiseTable cbm_;
   RecordingReceiver r1_, r2_, r3_;
   const Fid f_{1, 2, 3};
 };
 
 TEST_F(CallbackTest, BreakNotifiesAllHoldersExceptWriter) {
-  cbm_.Register(f_, &r1_);
-  cbm_.Register(f_, &r2_);
-  cbm_.Register(f_, &r3_);
+  cbm_.Grant(f_, &r1_, 0, sim::kNeverSimTime);
+  cbm_.Grant(f_, &r2_, 0, sim::kNeverSimTime);
+  cbm_.Grant(f_, &r3_, 0, sim::kNeverSimTime);
   EXPECT_EQ(Break(f_, &r1_), 2u);
   EXPECT_TRUE(r1_.broken.empty());
   EXPECT_EQ(r2_.broken.size(), 1u);
@@ -127,14 +129,14 @@ TEST_F(CallbackTest, BreakNotifiesAllHoldersExceptWriter) {
 }
 
 TEST_F(CallbackTest, WriterPromiseSurvivesItsOwnBreak) {
-  cbm_.Register(f_, &r1_);
-  cbm_.Register(f_, &r2_);
+  cbm_.Grant(f_, &r1_, 0, sim::kNeverSimTime);
+  cbm_.Grant(f_, &r2_, 0, sim::kNeverSimTime);
   Break(f_, &r1_);
   // r1 keeps its promise; r2's is gone.
-  EXPECT_TRUE(cbm_.HasPromise(f_, &r1_));
-  EXPECT_FALSE(cbm_.HasPromise(f_, &r2_));
+  EXPECT_TRUE(cbm_.HasPromise(f_, &r1_, 0));
+  EXPECT_FALSE(cbm_.HasPromise(f_, &r2_, 0));
   // A second write by r2 must notify r1.
-  cbm_.Register(f_, &r2_);
+  cbm_.Grant(f_, &r2_, 0, sim::kNeverSimTime);
   EXPECT_EQ(Break(f_, &r2_), 1u);
   EXPECT_EQ(r1_.broken.size(), 1u);
 }
@@ -145,25 +147,25 @@ TEST_F(CallbackTest, BreakOnUnknownFidIsNoop) {
 }
 
 TEST_F(CallbackTest, UnregisterStopsNotifications) {
-  cbm_.Register(f_, &r1_);
-  cbm_.Unregister(f_, &r1_);
+  cbm_.Grant(f_, &r1_, 0, sim::kNeverSimTime);
+  cbm_.Release(f_, &r1_);
   EXPECT_EQ(Break(f_, nullptr), 0u);
 }
 
 TEST_F(CallbackTest, UnregisterAllDropsEveryPromise) {
   const Fid g{1, 9, 9};
-  cbm_.Register(f_, &r1_);
-  cbm_.Register(g, &r1_);
-  cbm_.Register(g, &r2_);
-  cbm_.UnregisterAll(&r1_);
-  EXPECT_FALSE(cbm_.HasPromise(f_, &r1_));
-  EXPECT_FALSE(cbm_.HasPromise(g, &r1_));
-  EXPECT_TRUE(cbm_.HasPromise(g, &r2_));
+  cbm_.Grant(f_, &r1_, 0, sim::kNeverSimTime);
+  cbm_.Grant(g, &r1_, 0, sim::kNeverSimTime);
+  cbm_.Grant(g, &r2_, 0, sim::kNeverSimTime);
+  cbm_.ReleaseAll(&r1_);
+  EXPECT_FALSE(cbm_.HasPromise(f_, &r1_, 0));
+  EXPECT_FALSE(cbm_.HasPromise(g, &r1_, 0));
+  EXPECT_TRUE(cbm_.HasPromise(g, &r2_, 0));
 }
 
 TEST_F(CallbackTest, BreakChargesServerCpuAndNetwork) {
-  cbm_.Register(f_, &r1_);
-  cbm_.Register(f_, &r2_);
+  cbm_.Grant(f_, &r1_, 0, sim::kNeverSimTime);
+  cbm_.Grant(f_, &r2_, 0, sim::kNeverSimTime);
   const uint64_t msgs_before = network_.stats().messages;
   Break(f_, nullptr);
   EXPECT_EQ(network_.stats().messages - msgs_before, 2u);
@@ -173,22 +175,22 @@ TEST_F(CallbackTest, BreakChargesServerCpuAndNetwork) {
 TEST_F(CallbackTest, BreakVolumeSweepsWholeVolume) {
   const Fid g{1, 9, 9};
   const Fid other_volume{2, 1, 1};
-  cbm_.Register(f_, &r1_);
-  cbm_.Register(g, &r2_);
-  cbm_.Register(other_volume, &r3_);
+  cbm_.Grant(f_, &r1_, 0, sim::kNeverSimTime);
+  cbm_.Grant(g, &r2_, 0, sim::kNeverSimTime);
+  cbm_.Grant(other_volume, &r3_, 0, sim::kNeverSimTime);
   const uint32_t sent =
       cbm_.BreakVolume(1, 0, topo_.ServerNode(0, 0), &network_, &cpu_, cost_);
   EXPECT_EQ(sent, 2u);
   EXPECT_EQ(r1_.broken.size(), 1u);
   EXPECT_EQ(r2_.broken.size(), 1u);
   EXPECT_TRUE(r3_.broken.empty());
-  EXPECT_TRUE(cbm_.HasPromise(other_volume, &r3_));
+  EXPECT_TRUE(cbm_.HasPromise(other_volume, &r3_, 0));
 }
 
 TEST_F(CallbackTest, RegisterIsIdempotentPerHolder) {
-  cbm_.Register(f_, &r1_);
-  cbm_.Register(f_, &r1_);
-  EXPECT_EQ(cbm_.promise_count(), 1u);
+  cbm_.Grant(f_, &r1_, 0, sim::kNeverSimTime);
+  cbm_.Grant(f_, &r1_, 0, sim::kNeverSimTime);
+  EXPECT_EQ(cbm_.promise_count(0), 1u);
   EXPECT_EQ(Break(f_, nullptr), 1u);
 }
 
