@@ -57,7 +57,7 @@ uint64_t OpCalls(const rpc::CallStats& stats, const std::string& name) {
 
 struct SteadyResult {
   uint64_t total_calls = 0;
-  uint64_t validations = 0;       // Validate / GrantLease round trips
+  uint64_t validations = 0;       // Validate round trips
   uint64_t renew_calls = 0;       // batched RenewLeases RPCs
   double validations_per_open = 0;
   double cpu_util = 0;
@@ -155,7 +155,7 @@ struct RestartResult {
   double recovery_s = 0;           // restart -> last probe round needing traffic
   bool never_quiet = false;        // scheme never regains trusted-cache service
   uint64_t probe_epoch_calls = 0;  // dedicated restart-detection RPCs
-  uint64_t revalidations = 0;      // Validate + GrantLease calls in the window
+  uint64_t revalidations = 0;      // Validate calls in the window
   uint64_t renew_calls = 0;
   double lease_embargo_s = 0;      // server-side grant refusal window
   double embargo_write_delay_s = 0;  // extra delay of a write at restart+1s
@@ -264,8 +264,7 @@ RestartResult RunRestartArm(Scheme scheme) {
   // steady-state amortized maintenance and happen with or without a restart.
   const auto recovery_calls = [&campus]() {
     const rpc::CallStats cs = campus.TotalCallStats();
-    return OpCalls(cs, "Validate") + OpCalls(cs, "GrantLease") +
-           OpCalls(cs, "ProbeEpoch") + OpCalls(cs, "Fetch") +
+    return OpCalls(cs, "Validate") + OpCalls(cs, "ProbeEpoch") + OpCalls(cs, "Fetch") +
            OpCalls(cs, "FetchStatus");
   };
   SimTime last_busy = restart_at;
@@ -294,8 +293,7 @@ RestartResult RunRestartArm(Scheme scheme) {
 
   const rpc::CallStats after = campus.TotalCallStats();
   r.probe_epoch_calls = OpCalls(after, "ProbeEpoch") - OpCalls(before, "ProbeEpoch");
-  r.revalidations = (OpCalls(after, "Validate") - OpCalls(before, "Validate")) +
-                    (OpCalls(after, "GrantLease") - OpCalls(before, "GrantLease"));
+  r.revalidations = OpCalls(after, "Validate") - OpCalls(before, "Validate");
   r.renew_calls = OpCalls(after, "RenewLeases") - OpCalls(before, "RenewLeases");
   return r;
 }
@@ -315,8 +313,7 @@ void WriteJson(const std::vector<Scheme>& schemes,
   for (size_t i = 0; i < schemes.size(); ++i) {
     const SteadyResult& s = steady[i];
     const RestartResult& rr = restart[i];
-    std::fprintf(f, "    {\"scheme\": \"%s\", \"peak_rss_kb\": %ld,\n",
-                 SchemeName(schemes[i]), ReadPeakRssKb());
+    std::fprintf(f, "    {\"scheme\": \"%s\",\n", SchemeName(schemes[i]));
     std::fprintf(
         f,
         "     \"steady\": {\"server_calls\": %llu, \"validation_rpcs\": %llu, "

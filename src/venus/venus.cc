@@ -31,7 +31,6 @@ Venus::Venus(NodeId node, sim::Clock* clock, unixfs::FileSystem* local_fs,
       cache_(local_fs, cache_dir, config) {
   ITC_CHECK(clock_ != nullptr && local_fs_ != nullptr && servers_ != nullptr &&
             network_ != nullptr);
-  policy_ = validation::MakeValidationPolicy(this);
 }
 
 Venus::~Venus() { Logout(); }
@@ -102,7 +101,7 @@ Result<rpc::ClientConnection*> Venus::ConnectionTo(ServerId server) {
   // Callback state is volatile at the server, so a fresh connection asks for
   // the restart epoch; a bump since the last one we saw means the server
   // crashed and every promise it held for us died with it.
-  if (policy_->WantsEpochProbe()) {
+  if (config_.validation == VenusConfig::Validation::kCallbacks) {
     auto epoch_reply = raw->Call(static_cast<uint32_t>(Proc::kProbeEpoch), Bytes{});
     if (epoch_reply.ok()) {
       rpc::Reader r(*epoch_reply);
@@ -272,6 +271,99 @@ Result<VolumeId> Venus::ChooseVolume(VolumeId volume, bool for_update) {
   return volume;
 }
 
+// --- Cache validation ------------------------------------------------------------------
+
+bool Venus::Trusted(const CacheEntry& e, SimTime now) const {
+  switch (config_.validation) {
+    case VenusConfig::Validation::kCheckOnOpen:
+      return false;
+    case VenusConfig::Validation::kCallbacks:
+      return e.valid;
+    case VenusConfig::Validation::kLeases:
+      return e.valid && e.lease_expiry > now;
+  }
+  return false;
+}
+
+Status Venus::ReadLeaseExpiry(rpc::Reader& r, SimTime* expiry) const {
+  if (config_.validation != VenusConfig::Validation::kLeases) return Status::kOk;
+  ASSIGN_OR_RETURN(uint64_t granted, r.U64());
+  *expiry = static_cast<SimTime>(granted);
+  return Status::kOk;
+}
+
+Result<Venus::Revalidation> Venus::Revalidate(const Fid& fid) {
+  rpc::Writer w;
+  w.PutFid(fid);
+  w.PutU64(cache_.Find(fid)->status.version);
+  ASSIGN_OR_RETURN(Bytes reply, CallForFid(fid, Proc::kValidate, w.Take()));
+  stats_.validations += 1;
+  rpc::Reader r(reply);
+  RETURN_IF_ERROR(rpc::ExpectOk(r));
+  Revalidation out;
+  ASSIGN_OR_RETURN(out.current, r.Bool());
+  ASSIGN_OR_RETURN(out.fresh, vice::ReadVnodeStatus(r));
+  SimTime lease_expiry = 0;
+  RETURN_IF_ERROR(ReadLeaseExpiry(r, &lease_expiry));
+  CacheEntry* e = cache_.Find(fid);
+  if (e == nullptr) return out;
+  if (out.current) {
+    e->status = out.fresh;
+    e->origin_server = last_contacted_;
+  }
+  e->valid = out.current;
+  StampLease(*e, out.current ? lease_expiry : 0);
+  return out;
+}
+
+void Venus::StampLease(CacheEntry& e, SimTime expiry) {
+  e.lease_expiry = expiry;
+  if (expiry > 0) stats_.lease_grants += 1;
+}
+
+void Venus::RenewAging(const Fid& trigger, ServerId origin, SimTime now) {
+  const SimTime margin = config_.lease_renew_margin;
+  auto last = renew_attempt_.find(origin);
+  if (last != renew_attempt_.end() && now - last->second < margin) return;
+  renew_attempt_[origin] = now;
+
+  std::vector<Fid> aging;
+  for (const Fid& fid : cache_.CachedFids()) {
+    const CacheEntry* e = cache_.Find(fid);
+    if (e == nullptr || e->origin_server != origin) continue;
+    if (!e->valid || e->lease_expiry <= now) continue;
+    if (e->lease_expiry - now > margin) continue;
+    aging.push_back(fid);
+  }
+  if (aging.empty()) return;
+
+  rpc::Writer w;
+  w.PutU32(static_cast<uint32_t>(aging.size()));
+  for (const Fid& f : aging) w.PutFid(f);
+  auto reply = CallForFid(trigger, Proc::kRenewLeases, w.Take());
+  if (!reply.ok()) return;
+  stats_.lease_renew_calls += 1;
+
+  rpc::Reader r(*reply);
+  if (rpc::ExpectOk(r) != Status::kOk) return;
+  auto renewal = vice::ReadRenewLeasesReply(r);
+  if (!renewal.ok()) return;
+  const std::vector<Fid>& rejected = renewal->rejected;
+  for (const Fid& fid : aging) {
+    CacheEntry* e = cache_.Find(fid);
+    if (e == nullptr) continue;
+    if (std::find(rejected.begin(), rejected.end(), fid) != rejected.end()) {
+      // Expired at the server (or under the restart embargo): the next use
+      // must revalidate. Data stays — a Validate can resurrect it.
+      e->lease_expiry = 0;
+      stats_.leases_rejected += 1;
+    } else {
+      e->lease_expiry = static_cast<SimTime>(renewal->new_expiry);
+      stats_.leases_renewed += 1;
+    }
+  }
+}
+
 // --- Cache core ------------------------------------------------------------------------
 
 Result<CacheEntry*> Venus::EnsureData(const Fid& fid, bool* hit) {
@@ -290,13 +382,25 @@ Result<CacheEntry*> Venus::EnsureData(const Fid& fid, bool* hit) {
   }
 
   if (e != nullptr && e->has_data) {
-    // The policy decides what "current" costs: nothing (live callback or
-    // lease), one Validate (check-on-open / lost promise), or a GrantLease
-    // with batched renewals. On usable=true the entry is already stamped.
-    auto v = policy_->Check(fid, clock_->now());
+    // What "current" costs: nothing (live callback or lease), a batched
+    // renewal first when a live lease is aging, or one Validate
+    // (check-on-open, a lost promise, a lapsed lease).
+    const SimTime now = clock_->now();
+    if (config_.validation == VenusConfig::Validation::kLeases && Trusted(*e, now) &&
+        e->lease_expiry - now <= config_.lease_renew_margin) {
+      RenewAging(fid, e->origin_server, now);
+      e = cache_.Find(fid);
+      if (e == nullptr) return Status::kInternal;
+    }
+    if (Trusted(*e, now)) {
+      *hit = true;
+      cache_.Touch(fid, clock_->now());
+      return e;
+    }
+    auto v = Revalidate(fid);
     if (v.ok()) {
       e = cache_.Find(fid);  // revalidate pointer (no rehash occurred, but be safe)
-      if (v->usable) {
+      if (v->current) {
         *hit = true;
         cache_.Touch(fid, clock_->now());
         return e;
@@ -317,13 +421,14 @@ Result<CacheEntry*> Venus::EnsureData(const Fid& fid, bool* hit) {
   }
 
   Bytes data;
-  auto status = RpcFetch(fid, &data);
+  SimTime lease_expiry = 0;
+  auto status = RpcFetch(fid, &data, &lease_expiry);
   if (!status.ok()) return status.status();
   // Writing the fetched copy to the local disk cache costs local I/O time.
   clock_->Advance(cost_.LocalIoTime(data.size()));
   CacheEntry& entry = cache_.InstallData(fid, *status, data);
   entry.origin_server = last_contacted_;
-  policy_->OnFetched(entry);
+  StampLease(entry, lease_expiry);
   cache_.Touch(fid, clock_->now());
   // The just-installed file must survive eviction even if it alone exceeds
   // the configured limit (it is about to be used).
@@ -337,23 +442,22 @@ Result<CacheEntry*> Venus::EnsureData(const Fid& fid, bool* hit) {
 Result<VnodeStatus> Venus::EnsureStatus(const Fid& fid) {
   clock_->Advance(cost_.cache_lookup);
   CacheEntry* e = cache_.Find(fid);
-  if (e != nullptr && policy_->Trusted(*e, clock_->now())) {
+  if (e != nullptr && Trusted(*e, clock_->now())) {
     cache_.Touch(fid, clock_->now());
     return e->status;
   }
   if (e != nullptr && e->has_data) {
     if (e->dirty) return e->status;  // pending local write: local truth
-    // The policy's check refreshes status as a side effect — and it alone
-    // decides whether the entry may adopt the fresh version number (stamping
-    // a fresh version onto stale data would make the next validation pass
-    // vacuously and serve the stale bytes as current).
-    ASSIGN_OR_RETURN(auto check, policy_->Check(fid, clock_->now()));
+    // Revalidation refreshes status as a side effect, and adopts the fresh
+    // version number only when the cached data is current.
+    ASSIGN_OR_RETURN(Revalidation check, Revalidate(fid));
     return check.fresh;
   }
-  ASSIGN_OR_RETURN(VnodeStatus status, RpcFetchStatus(fid));
+  SimTime lease_expiry = 0;
+  ASSIGN_OR_RETURN(VnodeStatus status, RpcFetchStatus(fid, &lease_expiry));
   CacheEntry& entry = cache_.PutStatus(fid, status);
   entry.origin_server = last_contacted_;
-  policy_->OnFetched(entry);
+  StampLease(entry, lease_expiry);
   cache_.Touch(fid, clock_->now());
   return status;
 }
@@ -384,46 +488,44 @@ Result<std::optional<DirItem>> Venus::LookupIn(const Fid& dir, std::string_view 
 }
 
 void Venus::DropEvicted(const std::vector<Fid>& evicted) {
-  if (!logged_in()) return;
-  // The policy surrenders whatever server-side promise the scheme keeps per
-  // file (callback promise, lease) — a no-op for check-on-open.
-  for (const Fid& fid : evicted) policy_->OnEvict(fid);
+  // Surrender the server's promise (callback or lease) on each evicted file;
+  // check-on-open holds none.
+  if (!logged_in() || config_.validation == VenusConfig::Validation::kCheckOnOpen) return;
+  for (const Fid& fid : evicted) {
+    rpc::Writer w;
+    w.PutFid(fid);
+    // Best effort; the server also forgets promises when it next breaks
+    // them, and a lease expires on its own.
+    (void)CallForFid(fid, Proc::kReleasePromise, w.Take());
+  }
 }
 
 void Venus::InvalidateDir(const Fid& dir) { cache_.Invalidate(dir); }
 
 // --- RPC wrappers ------------------------------------------------------------------------
 
-Result<VnodeStatus> Venus::RpcFetch(const Fid& fid, Bytes* data) {
+Result<VnodeStatus> Venus::RpcFetch(const Fid& fid, Bytes* data, SimTime* lease_expiry) {
   rpc::Writer w;
   w.PutFid(fid);
-  last_lease_expiry_ = 0;
   ASSIGN_OR_RETURN(Bytes reply, CallForFid(fid, Proc::kFetch, w.Take()));
   rpc::Reader r(reply);
   RETURN_IF_ERROR(rpc::ExpectOk(r));
   ASSIGN_OR_RETURN(VnodeStatus status, vice::ReadVnodeStatus(r));
   ASSIGN_OR_RETURN(*data, r.BytesField());
-  if (config_.validation == VenusConfig::Validation::kLeases) {
-    ASSIGN_OR_RETURN(uint64_t expiry, r.U64());
-    last_lease_expiry_ = static_cast<SimTime>(expiry);
-  }
+  RETURN_IF_ERROR(ReadLeaseExpiry(r, lease_expiry));
   stats_.fetches += 1;
   stats_.bytes_fetched += data->size();
   return status;
 }
 
-Result<VnodeStatus> Venus::RpcFetchStatus(const Fid& fid) {
+Result<VnodeStatus> Venus::RpcFetchStatus(const Fid& fid, SimTime* lease_expiry) {
   rpc::Writer w;
   w.PutFid(fid);
-  last_lease_expiry_ = 0;
   ASSIGN_OR_RETURN(Bytes reply, CallForFid(fid, Proc::kFetchStatus, w.Take()));
   rpc::Reader r(reply);
   RETURN_IF_ERROR(rpc::ExpectOk(r));
   ASSIGN_OR_RETURN(VnodeStatus status, vice::ReadVnodeStatus(r));
-  if (config_.validation == VenusConfig::Validation::kLeases) {
-    ASSIGN_OR_RETURN(uint64_t expiry, r.U64());
-    last_lease_expiry_ = static_cast<SimTime>(expiry);
-  }
+  RETURN_IF_ERROR(ReadLeaseExpiry(r, lease_expiry));
   return status;
 }
 

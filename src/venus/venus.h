@@ -14,7 +14,7 @@
 // recovery from workstation crashes").
 //
 // Both client generations are supported via VenusConfig:
-//   * check-on-open vs callback validation,
+//   * check-on-open, callback or lease validation,
 //   * server-side (prototype) vs client-side (revised) pathname traversal,
 //   * count-limited vs space-limited cache.
 //
@@ -45,8 +45,6 @@
 #include "src/unixfs/file_system.h"
 #include "src/venus/config.h"
 #include "src/venus/file_cache.h"
-#include "src/venus/stats.h"
-#include "src/venus/validation/validation_policy.h"
 #include "src/vice/file_server.h"
 #include "src/vice/lock_manager.h"
 #include "src/vice/protocol.h"
@@ -57,7 +55,42 @@ namespace itc::venus {
 // addressing: the ServerId -> endpoint directory).
 using ServerMap = std::map<ServerId, vice::ViceServer*>;
 
-class Venus : public vice::CallbackReceiver, private validation::ValidationHost {
+// Venus client-side counters.
+struct VenusStats {
+  uint64_t opens = 0;
+  uint64_t cache_hits = 0;  // opens served without a Fetch
+  uint64_t fetches = 0;
+  uint64_t stores = 0;
+  uint64_t validations = 0;  // Validate round trips
+  uint64_t stat_calls = 0;
+  uint64_t bytes_fetched = 0;
+  uint64_t bytes_stored = 0;
+  uint64_t callback_breaks_received = 0;
+  // Times a server was marked suspect (restart detected or connection lost):
+  // all its cached entries dropped back to check-on-open validation.
+  uint64_t suspect_marks = 0;
+  // Lease mode: grants piggybacked on replies, batched renewal calls, and
+  // the per-fid outcomes of those batches.
+  uint64_t lease_grants = 0;
+  uint64_t lease_renew_calls = 0;
+  uint64_t leases_renewed = 0;
+  uint64_t leases_rejected = 0;
+  // Total virtual time spent inside Open() — mean open latency is
+  // open_time_total / opens.
+  SimTime open_time_total = 0;
+
+  double MeanOpenLatency() const {
+    return opens == 0 ? 0.0
+                      : static_cast<double>(open_time_total) / static_cast<double>(opens);
+  }
+
+  double HitRatio() const {
+    return opens == 0 ? 0.0
+                      : static_cast<double>(cache_hits) / static_cast<double>(opens);
+  }
+};
+
+class Venus : public vice::CallbackReceiver {
  public:
   Venus(NodeId node, sim::Clock* clock, unixfs::FileSystem* local_fs,
         const std::string& cache_dir, VenusConfig config, const ServerMap* servers,
@@ -222,6 +255,35 @@ class Venus : public vice::CallbackReceiver, private validation::ValidationHost 
   [[nodiscard]] Result<Fid> MapForUpdate(Fid fid, bool for_update);
   [[nodiscard]] Result<Fid> WalkServer(const std::string& path);
 
+  // --- Cache validation (Section 3.2) -------------------------------------------------
+  // The three schemes differ in when a cached copy may be believed without
+  // a round trip: check-on-open never, callbacks until the server breaks
+  // the promise, leases until the promise expires.
+  bool Trusted(const CacheEntry& e, SimTime now) const;
+  // Whether the cached copy of `fid` is current, and the server's status.
+  struct Revalidation {
+    bool current = false;
+    vice::VnodeStatus fresh;
+  };
+  // One Validate round trip for the cached entry of `fid` (it must exist).
+  // A current copy is stamped trusted, with the lease the reply carries in
+  // lease mode; a stale one is marked invalid — the fresh version number is
+  // NOT stamped onto stale data, or the next validation would pass
+  // vacuously.
+  [[nodiscard]] Result<Revalidation> Revalidate(const Fid& fid);
+  // Reads the `u64 lease_expiry` that ends Fetch, FetchStatus and Validate
+  // replies in lease mode; leaves `expiry` alone otherwise.
+  [[nodiscard]] Status ReadLeaseExpiry(rpc::Reader& r, SimTime* expiry) const;
+  // Records the lease a reply granted (0: none — not leasing, a stale copy,
+  // or the restart embargo).
+  void StampLease(CacheEntry& e, SimTime expiry);
+  // Lease mode: renews, in one batched call, every live lease from `origin`
+  // that expires within the renew margin. Best effort: if the server is
+  // unreachable the leases simply keep their current horizon (that bound is
+  // the whole point), and we do not retry within the same margin window so
+  // a partition costs at most one timeout per window, not one per open.
+  void RenewAging(const Fid& trigger, ServerId origin, SimTime now);
+
   // --- Cache core ------------------------------------------------------------------------
   // Ensures a valid cached copy of `fid`'s data (fetching or validating as
   // the configuration demands); returns the entry. `hit` reports whether a
@@ -242,22 +304,13 @@ class Venus : public vice::CallbackReceiver, private validation::ValidationHost 
   [[nodiscard]] Status StoreBack(const Fid& fid);
 
   // --- RPC wrappers -------------------------------------------------------------------------
-  // Fetch wrappers also consume the lease grant piggybacked on the reply in
-  // lease mode (stashed in last_lease_expiry_ for the policy's OnFetched).
-  [[nodiscard]] Result<vice::VnodeStatus> RpcFetch(const Fid& fid, Bytes* data);
-  [[nodiscard]] Result<vice::VnodeStatus> RpcFetchStatus(const Fid& fid);
+  // The fetch wrappers also return the lease grant piggybacked on the reply
+  // in lease mode (0 otherwise).
+  [[nodiscard]] Result<vice::VnodeStatus> RpcFetch(const Fid& fid, Bytes* data,
+                                                   SimTime* lease_expiry);
+  [[nodiscard]] Result<vice::VnodeStatus> RpcFetchStatus(const Fid& fid,
+                                                         SimTime* lease_expiry);
   [[nodiscard]] Result<vice::VnodeStatus> RpcStore(const Fid& fid, const Bytes& data);
-
-  // --- validation::ValidationHost (the policy's window into Venus) ----------
-  [[nodiscard]] Result<Bytes> CallFid(const Fid& fid, vice::Proc proc,
-                                      const Bytes& request) override {
-    return CallForFid(fid, proc, request);
-  }
-  ITC_KERNEL_ENTRY FileCache& entry_cache() override { return cache_; }
-  ITC_KERNEL_ENTRY VenusStats& venus_stats() override { return stats_; }
-  const VenusConfig& venus_config() const override { return config_; }
-  ITC_KERNEL_ENTRY ServerId last_contacted() const override { return last_contacted_; }
-  ITC_KERNEL_ENTRY SimTime last_lease_expiry() const override { return last_lease_expiry_; }
 
   NodeId node_;
   sim::Clock* clock_;
@@ -279,10 +332,9 @@ class Venus : public vice::CallbackReceiver, private validation::ValidationHost 
   // Server that answered the most recent successful call (stamps the cache
   // entry it produced).
   ITC_OWNED_BY_SHARD ServerId last_contacted_ = kInvalidServer;
-  // Lease expiry carried by the most recent Fetch/FetchStatus reply.
-  ITC_OWNED_BY_SHARD SimTime last_lease_expiry_ = 0;
-  // The scheme-specific half of cache validation (src/venus/validation/).
-  std::unique_ptr<validation::ValidationPolicy> policy_;
+  // Lease mode: last renewal attempt per server (throttles retries under
+  // partition).
+  ITC_OWNED_BY_SHARD std::map<ServerId, SimTime> renew_attempt_;
 
   ITC_OWNED_BY_SHARD FileCache cache_;
   ITC_OWNED_BY_SHARD std::map<VolumeId, vice::VolumeInfo> volume_hints_;

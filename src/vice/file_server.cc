@@ -401,17 +401,11 @@ void ViceServer::BindOps() {
   bind(Proc::kReleaseLock, [this](rpc::CallContext& ctx, rpc::Reader& r) {
     return HandleLock(ctx, r, /*acquire=*/false);
   });
-  bind(Proc::kRemoveCallback, [this](rpc::CallContext& ctx, rpc::Reader& r) {
+  bind(Proc::kReleasePromise, [this](rpc::CallContext& ctx, rpc::Reader& r) {
     return HandleReleasePromise(ctx, r);
-  });
-  bind(Proc::kGrantLease, [this](rpc::CallContext& ctx, rpc::Reader& r) {
-    return HandleGrantLease(ctx, r);
   });
   bind(Proc::kRenewLeases, [this](rpc::CallContext& ctx, rpc::Reader& r) {
     return HandleRenewLeases(ctx, r);
-  });
-  bind(Proc::kReleaseLease, [this](rpc::CallContext& ctx, rpc::Reader& r) {
-    return HandleReleasePromise(ctx, r);
   });
   bind(Proc::kGetVolumeStatus, [this](rpc::CallContext& ctx, rpc::Reader& r) {
     return HandleGetVolumeStatus(ctx, r);
@@ -960,35 +954,6 @@ Bytes ViceServer::HandleReleasePromise(rpc::CallContext& ctx, rpc::Reader& r) {
   auto it = callback_sinks_.find(ctx.client_node());
   if (it != callback_sinks_.end()) promises_.Release(*fid, it->second);
   return StatusReply(Status::kOk);
-}
-
-Bytes ViceServer::HandleGrantLease(rpc::CallContext& ctx, rpc::Reader& r) {
-  // Validate + grant in one call: the lease-mode open path once a cached
-  // copy's lease has lapsed. Same shape as kValidate, plus the expiry.
-  auto fid = r.FidField();
-  auto version = fid.ok() ? r.U64() : Result<uint64_t>(Status::kProtocolError);
-  if (!fid.ok() || !version.ok()) return StatusReply(Status::kProtocolError);
-  Volume* vol = FindVolume(fid->volume);
-  if (vol == nullptr) return NotCustodianReply(location_.get(), fid->volume);
-
-  auto status = vol->GetStatus(*fid);
-  if (!status.ok()) return StatusReply(status.status());
-  if (Status s = CheckAccess(*vol, *fid, ctx.user(), protection::kLookup);
-      s != Status::kOk) {
-    return StatusReply(s);
-  }
-  NoteVolumeAccess(fid->volume, ctx.client_node());
-
-  const bool valid = status->version == *version;
-  rpc::Writer w;
-  w.PutStatus(Status::kOk);
-  w.PutBool(valid);
-  PutVnodeStatus(w, *status);
-  // Fixed schema: the expiry field is always present; 0 means no promise
-  // (stale copy, restart embargo, or a server not running leases at all).
-  const bool leasing = valid && config_.validation == Validation::kLeases;
-  w.PutU64(static_cast<uint64_t>(leasing ? GrantPromise(*fid, ctx) : 0));
-  return w.Take();
 }
 
 Bytes ViceServer::HandleRenewLeases(rpc::CallContext& ctx, rpc::Reader& r) {

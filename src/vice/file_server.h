@@ -216,9 +216,8 @@ class ViceServer {
   Bytes HandleGetAcl(rpc::CallContext& ctx, rpc::Reader& r);
   [[nodiscard]] Result<Bytes> HandleSetAcl(rpc::CallContext& ctx, rpc::Reader& r);
   Bytes HandleLock(rpc::CallContext& ctx, rpc::Reader& r, bool acquire);
-  // RemoveCallback and ReleaseLease: the caller dropped its cached copy.
+  // The caller dropped its cached copy: forget its promise (callback or lease).
   Bytes HandleReleasePromise(rpc::CallContext& ctx, rpc::Reader& r);
-  Bytes HandleGrantLease(rpc::CallContext& ctx, rpc::Reader& r);
   Bytes HandleRenewLeases(rpc::CallContext& ctx, rpc::Reader& r);
   Bytes HandleGetVolumeStatus(rpc::CallContext& ctx, rpc::Reader& r);
 

@@ -62,13 +62,9 @@ const rpc::OpSchema& ViceOpSchema() {
            "`fid, u8 mode (0 shared, 1 exclusive)`", "— (`LOCKED` on conflict)"},
           {Op(Proc::kReleaseLock), "ReleaseLock", kO, false, 0, "`fid`",
            "— (`NOT_LOCKED` if not held)"},
-          {Op(Proc::kRemoveCallback), "RemoveCallback", kO, true, 0, "`fid`", "—"},
-          {Op(Proc::kGrantLease), "GrantLease", kV, true, kOpChargesPathname,
-           "`fid, u64 version`",
-           "`bool valid, VnodeStatus, u64 lease_expiry` (0 = grant refused)"},
+          {Op(Proc::kReleasePromise), "ReleasePromise", kO, true, 0, "`fid`", "—"},
           {Op(Proc::kRenewLeases), "RenewLeases", kV, true, 0, "`u32 n, fid...`",
            "`u64 new_expiry, u32 n_rejected, fid...` (rejected must revalidate)"},
-          {Op(Proc::kReleaseLease), "ReleaseLease", kO, true, 0, "`fid`", "—"},
           {Op(Proc::kGetVolumeStatus), "GetVolumeStatus", kO, true, 0,
            "`u32 volume`", "`u64 quota, u64 usage, bool ro, bool online, u64 vnodes`"},
       });
@@ -112,6 +108,18 @@ Result<VnodeStatus> ReadVnodeStatus(rpc::Reader& r) {
   ASSIGN_OR_RETURN(s.link_count, r.U32());
   ASSIGN_OR_RETURN(s.parent, r.FidField());
   return s;
+}
+
+Result<RenewLeasesReply> ReadRenewLeasesReply(rpc::Reader& r) {
+  RenewLeasesReply out;
+  ASSIGN_OR_RETURN(out.new_expiry, r.U64());
+  ASSIGN_OR_RETURN(uint32_t n, r.Count(rpc::kFidWireBytes));
+  out.rejected.reserve(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    ASSIGN_OR_RETURN(Fid fid, r.FidField());
+    out.rejected.push_back(fid);
+  }
+  return out;
 }
 
 void PutVolumeInfo(rpc::Writer& w, const VolumeInfo& info) {

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string_view>
+#include <vector>
 
 #include "src/common/result.h"
 #include "src/rpc/op_registry.h"
@@ -52,7 +53,7 @@ enum class Proc : uint32_t {
   // Data and status.
   kFetch = 10,        // fid -> status + whole-file data (registers callback)
   kFetchStatus = 11,  // fid -> status                  (registers callback)
-  kValidate = 12,     // fid + cached version -> valid? (check-on-open path)
+  kValidate = 12,     // fid + cached version -> valid? (+ lease in lease mode)
   kStore = 13,        // fid + data -> new status       (breaks callbacks)
   kSetStatus = 14,    // fid + mode/owner bits -> new status
 
@@ -75,14 +76,10 @@ enum class Proc : uint32_t {
   kSetLock = 40,
   kReleaseLock = 41,
 
-  // Cache management.
-  kRemoveCallback = 50,  // Venus dropped its cached copy
-
-  // Leases (third validation scheme; see src/vice/promise_table.h).
-  kGrantLease = 51,   // fid + cached version -> valid? + fresh lease
-  kRenewLeases = 52,  // batch: fids -> rejected fids (must revalidate)
-  kReleaseLease = 53, // Venus dropped its cached copy (lease-mode analog
-                      // of kRemoveCallback)
+  // Cache management (promises: see src/vice/promise_table.h).
+  kReleasePromise = 50,  // Venus dropped its cached copy
+  kRenewLeases = 52,     // lease mode, batch: fids -> rejected fids
+                         // (must revalidate)
 
   // Administration.
   kGetVolumeStatus = 60,  // quota, usage, type, online
@@ -111,6 +108,14 @@ CallClass ClassOf(Proc p);
 
 void PutVnodeStatus(rpc::Writer& w, const VnodeStatus& s);
 [[nodiscard]] Result<VnodeStatus> ReadVnodeStatus(rpc::Reader& r);
+
+// The body of a RenewLeases reply (after its status): the new expiry of
+// every renewed lease, and the fids the server refused to renew.
+struct RenewLeasesReply {
+  uint64_t new_expiry = 0;
+  std::vector<Fid> rejected;
+};
+[[nodiscard]] Result<RenewLeasesReply> ReadRenewLeasesReply(rpc::Reader& r);
 // PutVnodeStatus's fixed size: two fids, the type byte, length, version and
 // mtime, then owner, mode and link count.
 inline constexpr size_t kVnodeStatusWireBytes = 2 * rpc::kFidWireBytes + 1 + 3 * 8 + 3 * 4;

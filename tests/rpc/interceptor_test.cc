@@ -53,12 +53,12 @@ TEST(LatencyHistogramTest, MergeCombines) {
 
 TEST(OpSchemaTest, ViceSchemaLookup) {
   const OpSchema& schema = vice::ViceOpSchema();
-  EXPECT_EQ(schema.ops().size(), 27u);
+  EXPECT_EQ(schema.ops().size(), 25u);
   const OpSpec* fetch = schema.Find(static_cast<uint32_t>(vice::Proc::kFetch));
   ASSERT_NE(fetch, nullptr);
-  const OpSpec* grant = schema.Find(static_cast<uint32_t>(vice::Proc::kGrantLease));
-  ASSERT_NE(grant, nullptr);
-  EXPECT_EQ(grant->name, "GrantLease");
+  const OpSpec* renew = schema.Find(static_cast<uint32_t>(vice::Proc::kRenewLeases));
+  ASSERT_NE(renew, nullptr);
+  EXPECT_EQ(renew->name, "RenewLeases");
   EXPECT_EQ(fetch->name, "Fetch");
   EXPECT_EQ(fetch->call_class, CallClass::kFetch);
   EXPECT_TRUE(fetch->idempotent);
@@ -66,6 +66,8 @@ TEST(OpSchemaTest, ViceSchemaLookup) {
   ASSERT_NE(store, nullptr);
   EXPECT_FALSE(store->idempotent);
   EXPECT_EQ(schema.Find(9999), nullptr);
+  EXPECT_EQ(schema.Find(51), nullptr);
+  EXPECT_EQ(schema.Find(53), nullptr);
 }
 
 TEST(OpRegistryTest, UnknownAndUnboundOpcodesAreProtocolErrors) {

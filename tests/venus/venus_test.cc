@@ -110,7 +110,7 @@ TEST_F(VenusTest, EvictionNotifiesCustodian) {
   EXPECT_LE(ws.venus().cache().data_bytes(), 64 * 1024u);
   EXPECT_GT(ws.venus().cache().stats().evictions, 0u);
   // Server-side promise count stays bounded by what is actually cached
-  // (RemoveCallback was sent for evicted files).
+  // (ReleasePromise was sent for evicted files).
   const size_t promises = campus_->server(0).promises().promise_count(0);
   EXPECT_LE(promises, ws.venus().cache().entry_count() + 2);
 }

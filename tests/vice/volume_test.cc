@@ -291,6 +291,40 @@ TEST(VolumeInfoTest, HostileReplicaCountIsRejected) {
   EXPECT_EQ(ReadVolumeInfo(r).status(), Status::kProtocolError);
 }
 
+// A RenewLeases reply body: the new expiry, then the rejected fids.
+Bytes RenewLeasesBody(uint64_t expiry, uint32_t announced, const std::vector<Fid>& fids) {
+  rpc::Writer w;
+  w.PutU64(expiry);
+  w.PutU32(announced);
+  for (const Fid& fid : fids) w.PutFid(fid);
+  return w.Take();
+}
+
+TEST(RenewLeasesReplyTest, EveryTruncationIsRejected) {
+  const std::vector<Fid> rejected = {Fid{5, 1, 1}, Fid{5, 2, 7}};
+  const Bytes valid = RenewLeasesBody(1234, 2, rejected);
+  rpc::Reader whole(valid);
+  auto reply = ReadRenewLeasesReply(whole);
+  ASSERT_TRUE(reply.ok());
+  EXPECT_EQ(reply->new_expiry, 1234u);
+  EXPECT_EQ(reply->rejected, rejected);
+
+  for (size_t len = 0; len < valid.size(); ++len) {
+    const Bytes cut(valid.begin(), valid.begin() + static_cast<std::ptrdiff_t>(len));
+    rpc::Reader r(cut);
+    EXPECT_EQ(ReadRenewLeasesReply(r).status(), Status::kProtocolError) << "length " << len;
+  }
+}
+
+TEST(RenewLeasesReplyTest, HostileRejectedCountIsRejected) {
+  // 0xFFFFFFFF rejected fids announced, three present: refused before any
+  // reservation sized by the count.
+  const Bytes hostile =
+      RenewLeasesBody(1234, 0xFFFFFFFFu, {Fid{5, 1, 1}, Fid{5, 2, 7}, Fid{5, 3, 9}});
+  rpc::Reader r(hostile);
+  EXPECT_EQ(ReadRenewLeasesReply(r).status(), Status::kProtocolError);
+}
+
 TEST_F(VolumeTest, OfflineVolumeUnavailable) {
   auto fid = *vol_.CreateFile(vol_.root(), "f", kOwner, 0644);
   vol_.set_online(false);
