@@ -1,5 +1,6 @@
 #include "src/crypto/cbc.h"
 
+#include <atomic>
 #include <cstring>
 
 #include "src/crypto/xtea.h"
@@ -26,10 +27,8 @@ uint64_t Fnv1a(uint64_t h, const uint8_t* data, size_t n) {
   return h;
 }
 
-// Padded body length: plaintext plus trailer, rounded up to whole blocks.
-size_t PaddedLength(uint64_t plaintext_len) {
-  return (plaintext_len + kTrailer + kBlockSize - 1) / kBlockSize * kBlockSize;
-}
+// Plaintext bytes sealed so far (SealedByteCount).
+std::atomic<uint64_t> sealed_bytes{0};
 
 // One CBC encryption step: XORs the block (w0, w1) into the chaining value
 // (c0, c1), encrypts it there, and stores the ciphertext at `out`.
@@ -57,7 +56,8 @@ void OpenBlock(const XteaSchedule& s, const uint8_t* in, uint32_t& w0, uint32_t&
 Bytes Seal(const Key& key, const Bytes& plaintext, uint64_t iv_seed) {
   const XteaSchedule schedule(key);
   const uint64_t n = plaintext.size();
-  Bytes out(kBlockSize + PaddedLength(n));
+  sealed_bytes.fetch_add(n, std::memory_order_relaxed);
+  Bytes out(SealedSize(n));
   uint8_t* dst = out.data();
 
   // Derive the IV by encrypting the seed, so IVs are unpredictable without
@@ -107,14 +107,14 @@ Result<Bytes> Open(const Key& key, const Bytes& sealed) {
 
   // The trailer first: a length that disagrees with the padding is
   // rejected before any plaintext is allocated. The first check also keeps
-  // PaddedLength from wrapping on a hostile length.
+  // SealedSize from wrapping on a hostile length.
   uint32_t w0 = 0, w1 = 0;
   OpenBlock(schedule, body + padded - kTrailer, w0, w1);
   const uint64_t length = w0 | (static_cast<uint64_t>(w1) << 32);
   OpenBlock(schedule, body + padded - kBlockSize, w0, w1);
   const uint64_t checksum = w0 | (static_cast<uint64_t>(w1) << 32);
   if (length > padded - kTrailer) return Status::kTamperDetected;
-  if (PaddedLength(length) != padded) return Status::kTamperDetected;
+  if (SealedSize(length) != sealed.size()) return Status::kTamperDetected;
 
   // CBC decryption of block i needs only ciphertext blocks i and i-1, so
   // blocks are independent: decrypt kLanes of them per step, one per lane.
@@ -155,9 +155,23 @@ Result<Bytes> Open(const Key& key, const Bytes& sealed) {
     StoreLe32(w1, block + 4);
     std::memcpy(dst + whole * kBlockSize, block, tail);
     h = Fnv1a(h, block, tail);
+    // Seal zero-pads, and the checksum does not cover the padding. When
+    // this is the first block, the IV is its only chaining value, so a
+    // flipped IV byte over the padding would otherwise go unnoticed.
+    for (size_t j = tail; j < kBlockSize; ++j) {
+      if (block[j] != 0) return Status::kTamperDetected;
+    }
   }
   if (h != checksum) return Status::kTamperDetected;
   return plain;
+}
+
+uint64_t SealedByteCount() { return sealed_bytes.load(std::memory_order_relaxed); }
+
+void Sealed::Materialize() {
+  if (!deferred_) return;
+  bytes_ = Seal(key_, bytes_, iv_seed_);
+  deferred_ = false;
 }
 
 }  // namespace itc::crypto

@@ -1,7 +1,6 @@
 #include "src/rpc/rpc.h"
 
 #include "src/common/logging.h"
-#include "src/crypto/cbc.h"
 #include "src/rpc/op_registry.h"
 #include "src/rpc/wire.h"
 #include "src/sim/kernel.h"
@@ -20,7 +19,7 @@ constexpr size_t kFrameHeaderBytes = 12;
 // Client-stub wait before the first retry; doubles after each failed attempt.
 constexpr SimTime kInitialBackoff = Millis(20);
 
-uint64_t WireSize(const Bytes& payload) { return payload.size() + kWireHeaderBytes; }
+uint64_t WireSize(size_t payload_bytes) { return payload_bytes + kWireHeaderBytes; }
 
 // Outcome recorded for a finished call: the transport status on failure,
 // else the application status from the reply prologue (every reply begins
@@ -126,9 +125,9 @@ size_t ServerEndpoint::ConnectionCountFrom(NodeId client_node) const {
   return n;
 }
 
-Result<Bytes> ServerEndpoint::HandleCall(uint64_t conn_id, NodeId client_node,
-                                         const Bytes& sealed_request, SimTime arrival,
-                                         SimTime* completion) {
+Result<crypto::Sealed> ServerEndpoint::HandleCall(uint64_t conn_id, NodeId client_node,
+                                                  crypto::Sealed sealed_request, SimTime arrival,
+                                                  SimTime* completion) {
   *completion = arrival;
   if (!online_ || fault_.fail_all()) return Status::kUnavailable;
   auto conn_it = connections_.find(conn_id);
@@ -140,11 +139,11 @@ Result<Bytes> ServerEndpoint::HandleCall(uint64_t conn_id, NodeId client_node,
 
   Bytes request;
   if (config_.encrypt) {
-    auto opened = crypto::Open(conn.secret.session_key, sealed_request);
+    auto opened = crypto::Open(conn.secret.session_key, std::move(sealed_request));
     if (!opened.ok()) return Status::kTamperDetected;
     request = std::move(*opened);
   } else {
-    request = sealed_request;
+    request = std::move(sealed_request).bytes();
   }
 
   Reader header(request);
@@ -165,12 +164,12 @@ Result<Bytes> ServerEndpoint::HandleCall(uint64_t conn_id, NodeId client_node,
                              : Serve(conn.user, client_node, proc, body, arrival, completion);
   if (drop_reply) result = Status::kUnavailable;  // executed; only the reply is lost
   Record(call_stats_, op, proc, *completion - arrival, body, result);
-  if (!result.ok()) return result;
+  if (!result.ok()) return result.status();
 
   stats_.reply_bytes += result->size();
-  if (!config_.encrypt) return result;
+  if (!config_.encrypt) return crypto::Sealed(std::move(*result));
   conn.seq += 1;
-  return crypto::Seal(conn.secret.session_key, *result, conn.seq * 2 + 1);
+  return crypto::Sealed(conn.secret.session_key, std::move(*result), conn.seq * 2 + 1);
 }
 
 // Serves one admitted call as three suspendable stages, so the server's
@@ -261,7 +260,7 @@ Result<std::unique_ptr<ClientConnection>> ClientConnection::Connect(
 
   Bytes m1 = client_hs.Start();
   if (leg_lost(t, client_node)) return Status::kUnavailable;
-  t = network->Transfer(client_node, server->node_, WireSize(m1), t) + stream_penalty;
+  t = network->Transfer(client_node, server->node_, WireSize(m1.size()), t) + stream_penalty;
   t = sim::Charge(server->cpu_, t, cost.server_cpu_per_call);
   server->stats_.handshakes += 1;  // counted where the server sees the hello
   auto m2 = server_hs.HandleHello(m1);
@@ -271,7 +270,7 @@ Result<std::unique_ptr<ClientConnection>> ClientConnection::Connect(
     return m2.status();
   }
   if (leg_lost(t, server->node_)) return Status::kUnavailable;
-  t = network->Transfer(server->node_, client_node, WireSize(*m2), t) + stream_penalty;
+  t = network->Transfer(server->node_, client_node, WireSize(m2->size()), t) + stream_penalty;
   t += cost.client_cpu_per_rpc;
   auto m3 = client_hs.HandleChallenge(*m2);
   if (!m3.ok()) {
@@ -279,7 +278,7 @@ Result<std::unique_ptr<ClientConnection>> ClientConnection::Connect(
     return m3.status();
   }
   if (leg_lost(t, client_node)) return Status::kUnavailable;
-  t = network->Transfer(client_node, server->node_, WireSize(*m3), t) + stream_penalty;
+  t = network->Transfer(client_node, server->node_, WireSize(m3->size()), t) + stream_penalty;
   t = sim::Charge(server->cpu_, t, cost.server_cpu_per_call);
   auto m4 = server_hs.HandleResponse(*m3);
   if (!m4.ok()) {
@@ -298,7 +297,7 @@ Result<std::unique_ptr<ClientConnection>> ClientConnection::Connect(
       ServerEndpoint::ConnState{server_hs.user(), server_hs.secret(), 0, 0, client_node};
 
   if (leg_lost(t, server->node_)) return Status::kUnavailable;
-  t = network->Transfer(server->node_, client_node, WireSize(*m4), t) + stream_penalty;
+  t = network->Transfer(server->node_, client_node, WireSize(m4->size()), t) + stream_penalty;
   t += cost.client_cpu_per_rpc;
   auto secret = client_hs.HandleSessionGrant(*m4);
   clock->AdvanceTo(t);
@@ -360,13 +359,11 @@ Result<Bytes> ClientConnection::SendOnce(uint32_t proc, const Bytes& request) {
   Bytes framed = w.Take();
 
   SimTime t = clock_->now() + cost_.client_cpu_per_rpc;
-  Bytes sealed;
-  if (config_.encrypt) {
-    t += cost_.CryptoCpu(framed.size());
-    sealed = crypto::Seal(secret_.session_key, framed, (conn_id_ << 20) ^ (seq_ * 2));
-  } else {
-    sealed = framed;
-  }
+  if (config_.encrypt) t += cost_.CryptoCpu(framed.size());
+  crypto::Sealed sealed =
+      config_.encrypt
+          ? crypto::Sealed(secret_.session_key, std::move(framed), (conn_id_ << 20) ^ (seq_ * 2))
+          : crypto::Sealed(std::move(framed));
 
   // A partition between the endpoints eats the request (or below, the
   // reply); the client burns its full timeout either way.
@@ -376,10 +373,11 @@ Result<Bytes> ClientConnection::SendOnce(uint32_t proc, const Bytes& request) {
     return Status::kUnavailable;
   }
   const SimTime arrival =
-      network_->Transfer(client_node_, server_->node_, WireSize(sealed), t) + stream_penalty;
+      network_->Transfer(client_node_, server_->node_, WireSize(sealed.size()), t) + stream_penalty;
 
   SimTime completion = arrival;
-  auto sealed_reply = server_->HandleCall(conn_id_, client_node_, sealed, arrival, &completion);
+  auto sealed_reply =
+      server_->HandleCall(conn_id_, client_node_, std::move(sealed), arrival, &completion);
   if (!sealed_reply.ok()) {
     clock_->AdvanceTo(completion);
     return sealed_reply.status();
@@ -393,7 +391,7 @@ Result<Bytes> ClientConnection::SendOnce(uint32_t proc, const Bytes& request) {
     clock_->AdvanceTo(t + cost_.rpc_timeout);
     return Status::kUnavailable;
   }
-  SimTime t2 = network_->Transfer(server_->node_, client_node_, WireSize(*sealed_reply),
+  SimTime t2 = network_->Transfer(server_->node_, client_node_, WireSize(sealed_reply->size()),
                                   completion) +
                stream_penalty;
   t2 += cost_.client_cpu_per_rpc;
@@ -401,13 +399,13 @@ Result<Bytes> ClientConnection::SendOnce(uint32_t proc, const Bytes& request) {
   Bytes reply;
   if (config_.encrypt) {
     t2 += cost_.CryptoCpu(sealed_reply->size());
-    auto opened = crypto::Open(secret_.session_key, *sealed_reply);
+    auto opened = crypto::Open(secret_.session_key, std::move(*sealed_reply));
     clock_->AdvanceTo(t2);
     if (!opened.ok()) return Status::kTamperDetected;
     reply = std::move(*opened);
   } else {
     clock_->AdvanceTo(t2);
-    reply = std::move(*sealed_reply);
+    reply = std::move(*sealed_reply).bytes();
   }
   return reply;
 }

@@ -41,6 +41,7 @@
 #include "src/common/result.h"
 #include "src/common/rng.h"
 #include "src/common/types.h"
+#include "src/crypto/cbc.h"
 #include "src/crypto/handshake.h"
 #include "src/crypto/key.h"
 #include "src/net/network.h"
@@ -265,9 +266,15 @@ class ServerEndpoint {
 
   // Processes one sealed call on connection `conn_id`, arriving at
   // `arrival`; returns the sealed reply and sets `*completion` to the time
-  // the reply leaves the server.
-  [[nodiscard]] Result<Bytes> HandleCall(uint64_t conn_id, NodeId client_node, const Bytes& sealed_request,
-                           SimTime arrival, SimTime* completion);
+  // the reply leaves the server. Request and reply travel as envelopes: the
+  // in-process client hands over a deferred one, which opens under the
+  // session key without running the cipher, while observed bytes (a
+  // forgery, a replay, garbage) go through the real Open and its integrity
+  // check. The reply is deferred too and is sealed only if someone reads its
+  // bytes. Unencrypted, the envelope carries the frame itself.
+  [[nodiscard]] Result<crypto::Sealed> HandleCall(uint64_t conn_id, NodeId client_node,
+                                                  crypto::Sealed sealed_request, SimTime arrival,
+                                                  SimTime* completion);
 
   // Called from the client connection's destructor, i.e. potentially from
   // the client's shard. Known cross-shard touch under kSharded: a mid-run

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/crypto/cbc.h"
 #include "src/vice/protocol.h"
 
 namespace itc {
@@ -98,6 +99,32 @@ TEST(CampusTest, HistogramAggregatesAcrossServers) {
   EXPECT_GE(hist[vice::CallClass::kStore], 2u);
   campus.ResetAllStats();
   EXPECT_EQ(campus.TotalCalls(), 0u);
+}
+
+TEST(CampusTest, EncryptedRpcSealsOnlyTheHandshake) {
+  // RPC envelopes open in process without the cipher: after login, storing
+  // and fetching 64 KB seals at most a handshake's worth of plaintext, while
+  // every byte still counts on the wire.
+  const CampusConfig config = CampusConfig::Revised(1, 1);
+  ASSERT_TRUE(config.rpc.encrypt);
+  Campus campus(config);
+  ASSERT_TRUE(campus.SetupRootVolume().ok());
+  auto home = campus.AddUserWithHome("cy", "pw", 0);
+  ASSERT_TRUE(home.ok());
+  auto& ws = campus.workstation(0);
+  ASSERT_EQ(ws.LoginWithPassword(home->user, "pw"), Status::kOk);
+  const uint64_t sealed_at_login = crypto::SealedByteCount();
+
+  const Bytes data(64 * 1024, 0x6b);
+  ASSERT_EQ(ws.WriteWholeFile("/vice/usr/cy/big", data), Status::kOk);
+  ws.venus().FlushCache();
+  auto back = ws.ReadWholeFile("/vice/usr/cy/big");
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(*back, data);
+
+  const rpc::RpcStats& wire = campus.server(0).endpoint().stats();
+  EXPECT_GE(wire.request_bytes + wire.reply_bytes, 2 * data.size());
+  EXPECT_LT(crypto::SealedByteCount() - sealed_at_login, 1024u);
 }
 
 // --- Wire helper round trips --------------------------------------------------

@@ -313,6 +313,21 @@ TEST_P(SealBitFlip, EverySingleBitFlipIsTamper) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, SealBitFlip, ::testing::Values(0, 9, 65));
 
+TEST(SealHostileTest, IvFlipOverPaddingIsTamper) {
+  // Below one block, the plaintext shares its only data block with padding
+  // that the checksum does not cover, and that block chains off the IV.
+  const Key key = TestKey(0x71);
+  for (size_t n = 1; n < kBlockSize; ++n) {
+    const Bytes sealed = Seal(key, Bytes(n, 0x5c), 79);
+    for (size_t at = 0; at < kBlockSize; ++at) {
+      Bytes tampered = sealed;
+      tampered[at] ^= 0x80;
+      EXPECT_EQ(Open(key, tampered).status(), Status::kTamperDetected)
+          << "size " << n << ", IV byte " << at;
+    }
+  }
+}
+
 TEST(SealHostileTest, EveryTruncationIsAnError) {
   const Key key = TestKey(0x6e);
   const Bytes sealed = Seal(key, Pattern(65), 78);

@@ -259,5 +259,75 @@ TEST_P(SealPropertyTest, RandomPayloadsRoundTripAndRejectTampering) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SealPropertyTest, ::testing::Values(1, 2, 3));
 
+// --- Lazy envelope against the eager cipher ------------------------------------------
+
+// A deferred crypto::Sealed must be indistinguishable from Seal's bytes by
+// anything that looks: its size, its materialized bytes, and what Open makes
+// of it under the right key, a wrong key, or after tampering.
+class EnvelopePropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+crypto::Key RandomKey(Rng& rng) {
+  crypto::Key key;
+  for (auto& b : key.bytes) b = static_cast<uint8_t>(rng.NextU64());
+  return key;
+}
+
+TEST_P(EnvelopePropertyTest, EnvelopeEqualsSealThenOpen) {
+  Rng rng(GetParam() * 7919);
+  // Every block-boundary neighbour, one message of at least 64 KB, and
+  // random sizes.
+  std::vector<size_t> sizes = {0, 1, 7, 8, 9, 15, 16, 17, 64 * 1024 + rng.Below(64)};
+  for (int i = 0; i < 20; ++i) sizes.push_back(rng.Below(3000));
+  for (size_t n : sizes) {
+    SCOPED_TRACE(n);
+    const crypto::Key key = RandomKey(rng);
+    crypto::Key wrong = RandomKey(rng);
+    if (wrong == key) wrong.bytes[0] ^= 1;
+    const uint64_t iv_seed = rng.NextU64();
+    Bytes plain(n);
+    for (auto& b : plain) b = static_cast<uint8_t>(rng.NextU64());
+    const Bytes eager = crypto::Seal(key, plain, iv_seed);
+
+    // A deferred envelope knows its size and opens under its own key
+    // without running the cipher.
+    const uint64_t sealed_before = crypto::SealedByteCount();
+    crypto::Sealed deferred(key, plain, iv_seed);
+    EXPECT_EQ(deferred.size(), eager.size());
+    EXPECT_EQ(crypto::SealedSize(n), eager.size());
+    auto opened = crypto::Open(key, std::move(deferred));
+    auto eager_opened = crypto::Open(key, eager);
+    ASSERT_EQ(opened.status(), eager_opened.status());
+    ASSERT_TRUE(opened.ok());
+    EXPECT_EQ(*opened, *eager_opened);
+    EXPECT_EQ(crypto::SealedByteCount(), sealed_before);
+
+    // A wrong key seals for real and fails exactly as Open on Seal's bytes.
+    EXPECT_EQ(crypto::Open(wrong, crypto::Sealed(key, plain, iv_seed)).status(),
+              crypto::Open(wrong, eager).status());
+
+    // Observed bytes are Seal's bytes, and still open under the right key.
+    crypto::Sealed observed(key, plain, iv_seed);
+    EXPECT_EQ(observed.bytes(), eager);
+    EXPECT_EQ(observed.size(), eager.size());
+    auto reopened = crypto::Open(key, std::move(observed));
+    ASSERT_TRUE(reopened.ok());
+    EXPECT_EQ(*reopened, plain);
+
+    // Tampering with the observed bytes is always detected: every byte of a
+    // small message, a sample of a large one.
+    const size_t flips = eager.size() <= 64 ? eager.size() : 16;
+    for (size_t i = 0; i < flips; ++i) {
+      Bytes tampered = crypto::Sealed(key, plain, iv_seed).bytes();
+      const size_t at = eager.size() <= 64 ? i : rng.Below(tampered.size());
+      tampered[at] ^= static_cast<uint8_t>(1 + rng.Below(255));
+      EXPECT_EQ(crypto::Open(key, crypto::Sealed(std::move(tampered))).status(),
+                Status::kTamperDetected)
+          << "byte " << at;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EnvelopePropertyTest, ::testing::Values(1, 2, 3));
+
 }  // namespace
 }  // namespace itc

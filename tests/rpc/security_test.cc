@@ -65,7 +65,7 @@ TEST_F(SecurityTest, ForgedCallOnDeadConnectionRejected) {
   // An attacker replays bytes against a connection id that does not exist.
   SimTime completion = 0;
   auto reply = server_.HandleCall(/*conn_id=*/999, topo_.WorkstationNode(0, 0),
-                                  Bytes(64, 0x41), /*arrival=*/0, &completion);
+                                  crypto::Sealed(Bytes(64, 0x41)), /*arrival=*/0, &completion);
   EXPECT_EQ(reply.status(), Status::kConnectionBroken);
   EXPECT_EQ(service_.calls, 0);
 }
@@ -80,8 +80,8 @@ TEST_F(SecurityTest, GarbageOnLiveConnectionDetected) {
   // ...but injected garbage on the same connection id (1) never reaches the
   // service: the sealed-envelope integrity check rejects it.
   SimTime completion = 0;
-  auto forged = server_.HandleCall(1, topo_.WorkstationNode(0, 1), Bytes(48, 0x5a), 0,
-                                   &completion);
+  auto forged = server_.HandleCall(1, topo_.WorkstationNode(0, 1),
+                                   crypto::Sealed(Bytes(48, 0x5a)), 0, &completion);
   EXPECT_EQ(forged.status(), Status::kTamperDetected);
   EXPECT_EQ(service_.calls, calls_before);
 }
@@ -106,9 +106,32 @@ TEST_F(SecurityTest, ReplayedCiphertextFromOtherSessionRejected) {
   const int calls_before = service_.calls;
   SimTime completion = 0;
   // Replay against session B's connection id (2).
-  auto replayed = server_.HandleCall(2, topo_.WorkstationNode(0, 1), captured, 0,
-                                     &completion);
+  auto replayed = server_.HandleCall(2, topo_.WorkstationNode(0, 1),
+                                     crypto::Sealed(captured), 0, &completion);
   EXPECT_EQ(replayed.status(), Status::kTamperDetected);
+  EXPECT_EQ(service_.calls, calls_before);
+}
+
+TEST_F(SecurityTest, DeferredEnvelopeUnderAnotherKeyRejected) {
+  // A never-materialized envelope skips the cipher only under the key it
+  // was sealed with. Under any other session key it is sealed for real and
+  // opened for real, and the integrity check rejects it.
+  auto conn = ClientConnection::Connect(topo_.WorkstationNode(0, 0), kUser, key_, &server_,
+                                        &network_, cost_, &clock_, 33);
+  ASSERT_TRUE(conn.ok());
+  ASSERT_TRUE((*conn)->Call(1, ToBytes("real")).ok());
+  const int calls_before = service_.calls;
+
+  // A well-formed frame (proc 1, a fresh sequence number) under a key that
+  // is not connection 1's session key.
+  Writer w;
+  w.PutU32(1);
+  w.PutU64(1000);
+  crypto::Sealed foreign(crypto::DeriveSubKey(key_, 456), w.Take(), /*iv_seed=*/3);
+  SimTime completion = 0;
+  auto reply = server_.HandleCall(1, topo_.WorkstationNode(0, 0), std::move(foreign), 0,
+                                  &completion);
+  EXPECT_EQ(reply.status(), Status::kTamperDetected);
   EXPECT_EQ(service_.calls, calls_before);
 }
 
